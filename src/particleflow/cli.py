@@ -32,7 +32,6 @@ _COMMON_FLAGS = [
     ("--grid-orders", "grid_orders", "orders of magnitude spanned by the grid"),
     ("--grid-points-per-order", "grid_points_per_order", "grid resolution"),
     ("--out", "out", "output CSV path"),
-    ("--threads", "threads", "parallel runs"),
 ]
 
 _EXTRA_FLAGS = {
@@ -89,8 +88,11 @@ def main(argv=None) -> int:
         print(f"wrote {args.out}")
         return 0
 
-    file_values = parse_config_file(args.config) if args.config else {}
-    config = make_config(args.command, file_values, _flag_overrides(args))
+    try:
+        file_values = parse_config_file(args.config) if args.config else {}
+        config = make_config(args.command, file_values, _flag_overrides(args))
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     start = time.perf_counter()
     rows = _RUNNERS[args.command](config)
     elapsed = time.perf_counter() - start

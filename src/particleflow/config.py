@@ -44,10 +44,9 @@ class ExperimentConfig:
     n_steps: int = 50
     seeds: tuple = tuple(range(10))
     methods: tuple = ("flow", "mcl")
-    gamma: float | None = None  # None: sqrt(d) per dimension
+    gamma: float | None = None  # None: 0.5 synthetic / 8.0 pose, see resolve_gamma
     grid: GridSpec = field(default_factory=GridSpec)
     out: str = "results.csv"
-    threads: int = 1
     # pose experiment
     pose_points: int = 12
     sigma: float = 0.005
@@ -72,10 +71,10 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in VALID_METHODS:
                 raise ValueError(f"unknown method {m!r}; valid: {VALID_METHODS}")
+        if self.experiment == "pose" and "mcl" in self.methods:
+            raise ValueError("method 'mcl' is not supported for the pose experiment; use flow,gd")
         if self.gamma is not None and not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.pose_points < 3:
             raise ValueError(f"pose_points must be >= 3, got {self.pose_points}")
         if self.sigma < 0:
@@ -151,7 +150,6 @@ _KEY_PARSERS = {
     "grid_orders": (_parse_int, "integer"),
     "grid_points_per_order": (_parse_int, "integer"),
     "out": (str, "path"),
-    "threads": (_parse_int, "integer"),
     "pose_points": (_parse_int, "integer"),
     "sigma": (_parse_float, "number"),
     "eps": (_parse_float, "number"),

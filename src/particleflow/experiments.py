@@ -4,24 +4,21 @@ One row per (run, step, metric), header
 
     experiment,method,d,n,seed,eta,epsilon,gamma,ridge,step,metric,value,status
 
-Rows are produced in a deterministic order independent of thread count, so
-reruns with the same config are byte-identical. Timestamps appear only in
-the manifest header.
+Rows are produced in a deterministic order, so reruns with the same config
+are byte-identical. Timestamps appear only in the manifest header.
 """
 from __future__ import annotations
 
 import datetime
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import __version__, rng
+from . import __version__, flow, rng
 from .baselines import MCLConfig, WeightedEnsemble, gradient_descent_step, mcl_step
 from .bounds import GronwallBoundParams, gronwall_bound, max_ratio, perturbed_flow_check
 from .config import ExperimentConfig
 from .flow import Ensemble, FlowConfig, gradient_coefficient
-from .flow import run as flow_run
 from .losses import exact_posterior, expected_posterior, sample_synthetic_problem
 from .metrics import fit_gaussian, kl_gaussians, pose_errors
 from .pose import make_pose_problem, mean_pose, random_rotation_vectors
@@ -93,13 +90,85 @@ def auto_grid_center(method: str, experiment: str, d: int, gamma: float, sigma_e
     return base
 
 
-def _execute(tasks, threads: int) -> dict:
-    """Run (key, callable) tasks, optionally in a thread pool; keyed results."""
-    if threads <= 1:
-        return {key: fn() for key, fn in tasks}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(key, pool.submit(fn)) for key, fn in tasks]
-        return {key: fut.result() for key, fut in futures}
+def grid_center(config: ExperimentConfig, method: str, d: int, gamma: float) -> float:
+    """Configured grid center, or the scale-aware default for this experiment."""
+    if config.grid.center is not None:
+        return config.grid.center
+    sigma_eff = config.sigma if config.sigma > 0 else 1.0
+    return auto_grid_center(method, config.experiment, d, gamma, sigma_eff, config.pose_points)
+
+
+def _trajectory(method, value, problem, init, gamma, seed, n_steps):
+    """Yield (step, particles) of one run, from the initial particles at step 0
+    through step n_steps; a failing step raises ValueError."""
+    yield 0, init
+    if method == "mcl":
+        config = MCLConfig(epsilon=value, n_particles=init.shape[0], rng_seed=seed)
+        ensemble = WeightedEnsemble.uniform(init)
+    else:
+        ensemble = Ensemble(init, 0)
+    if method == "flow":
+        config = FlowConfig(dim=init.shape[1], gamma=gamma, eta=value)
+    for s in range(n_steps):
+        if method == "flow":
+            ensemble = flow.step(ensemble, problem, config)
+        elif method == "mcl":
+            ensemble = mcl_step(ensemble, problem, config, s)
+        else:
+            ensemble = gradient_descent_step(ensemble, problem, value)
+        yield s + 1, ensemble.particles
+
+
+def _sweep(config: ExperimentConfig, d: int, n: int, gamma: float, instances: dict, selection: str) -> list[tuple]:
+    """Grid search of every configured method over per-seed instances.
+
+    instances maps seed -> (problem, init, measure), where measure(step,
+    particles) returns (ridge, metric, value, status) tuples. Each
+    (method, grid point, seed) run emits its measured rows per step, or a
+    run_failed row at the step that raised. The best grid point per method
+    minimizes the mean final-step `selection` metric across seeds; a grid
+    point counts only if that metric is ok at the last step for every seed.
+    """
+    experiment, T = config.experiment, config.n_steps
+    rows: list[tuple] = []
+    for method in config.methods:
+        gamma_col = gamma if method == "flow" else None
+        best_value, best_mean = None, math.inf
+        for value in grid_values(grid_center(config, method, d, gamma), config.grid.orders,
+                                 config.grid.points_per_order):
+            eta, epsilon = (None, value) if method == "mcl" else (value, None)
+            finals = []
+            for seed, (problem, init, measure) in instances.items():
+                try:
+                    # diverging grid points overflow by design before being
+                    # reported as error rows; keep their FP warnings out of
+                    # the sweep output
+                    with np.errstate(all="ignore"):
+                        for step, particles in _trajectory(method, value, problem, init, gamma, seed, T):
+                            measured = measure(step, particles)
+                            rows.extend(_row(experiment, method, d, n, seed, eta, epsilon, gamma_col,
+                                             ridge, step, metric, v, status)
+                                        for ridge, metric, v, status in measured)
+                except ValueError:
+                    rows.append(_row(experiment, method, d, n, seed, eta, epsilon, gamma_col,
+                                     None, step + 1, "run_failed", None, "error"))
+                    finals.append(None)
+                else:
+                    finals.append(next((v for _, metric, v, _ in measured if metric == selection), None))
+            if any(v is None for v in finals):
+                continue
+            mean = sum(finals) / len(finals)
+            if mean < best_mean:
+                best_value, best_mean = value, mean
+        metric = "best_final_" + selection + "_mean"
+        if best_value is None:
+            rows.append(_row(experiment, method, d, n, None, None, None, None, None,
+                             T, metric, None, "error"))
+            continue
+        eta, epsilon = (None, best_value) if method == "mcl" else (best_value, None)
+        rows.append(_row(experiment, method, d, n, None, eta, epsilon, gamma_col,
+                         None, T, metric, best_mean, "ok"))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -107,69 +176,29 @@ def _execute(tasks, threads: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _synthetic_run(config, d, n, gamma, method, value, seed, problem, posteriors, init):
-    """One (method, grid point, seed) run; returns (rows, final KL or None)."""
-    expected_by_step, exact_by_step = posteriors
-    T = config.n_steps
-    eta = value if method in ("flow", "gd") else None
-    epsilon = value if method == "mcl" else None
-    gamma_col = gamma if method == "flow" else None
-    rows: list[tuple] = []
-    final = {"kl": None}
-    progress = {"step": 0}
+def _kl_measure(problem, n_steps: int):
+    """measure(step, particles) for the synthetic task: KL rows between a
+    Gaussian fit and both reference posteriors, in both argument orders."""
+    expected_by_step = [expected_posterior(problem.center, t) for t in range(n_steps + 1)]
+    exact_by_step = [exact_posterior(problem, t) for t in range(n_steps + 1)]
 
-    def record(step_idx: int, particles: np.ndarray) -> None:
-        progress["step"] = step_idx
+    def measure(step: int, particles: np.ndarray) -> list[tuple]:
         try:
             fit = fit_gaussian(particles)
         except ValueError:
-            rows.append(_row("synthetic", method, d, n, seed, eta, epsilon, gamma_col,
-                             None, step_idx, "fit_gaussian", None, "fit_error"))
-            return
+            return [(None, "fit_gaussian", None, "fit_error")]
         try:
             values = (
-                kl_gaussians(fit, expected_by_step[step_idx]),
-                kl_gaussians(expected_by_step[step_idx], fit),
-                kl_gaussians(fit, exact_by_step[step_idx]),
-                kl_gaussians(exact_by_step[step_idx], fit),
+                kl_gaussians(fit, expected_by_step[step]),
+                kl_gaussians(expected_by_step[step], fit),
+                kl_gaussians(fit, exact_by_step[step]),
+                kl_gaussians(exact_by_step[step], fit),
             )
         except ValueError:
-            rows.append(_row("synthetic", method, d, n, seed, eta, epsilon, gamma_col,
-                             fit.ridge, step_idx, "kl", None, "kl_error"))
-            return
-        for name, v in zip(KL_METRICS, values):
-            rows.append(_row("synthetic", method, d, n, seed, eta, epsilon, gamma_col,
-                             fit.ridge, step_idx, name, v, "ok"))
-        if step_idx == T:
-            final["kl"] = values[0]
+            return [(fit.ridge, "kl", None, "kl_error")]
+        return [(fit.ridge, name, v, "ok") for name, v in zip(KL_METRICS, values)]
 
-    try:
-        # diverging grid points overflow by design before being reported as
-        # error rows; keep their FP warnings out of the sweep output
-        with np.errstate(all="ignore"):
-            record(0, init)
-            if method == "flow":
-                flow_config = FlowConfig(dim=d, gamma=gamma, eta=value, n_particles=n, n_steps=T)
-                flow_run(Ensemble(init, 0), problem, flow_config,
-                         observer=lambda s, e: record(s, e.particles))
-            elif method == "mcl":
-                mcl_config = MCLConfig(epsilon=value, n_particles=n, rng_seed=seed)
-                ensemble = WeightedEnsemble.uniform(init)
-                for s in range(T):
-                    ensemble = mcl_step(ensemble, problem, mcl_config, s)
-                    record(s + 1, ensemble.particles)
-            elif method == "gd":
-                ensemble = Ensemble(init, 0)
-                for s in range(T):
-                    ensemble = gradient_descent_step(ensemble, problem, value)
-                    record(s + 1, ensemble.particles)
-            else:
-                raise ValueError(f"unknown method {method!r}")
-    except ValueError:
-        rows.append(_row("synthetic", method, d, n, seed, eta, epsilon, gamma_col,
-                         None, progress["step"] + 1, "run_failed", None, "error"))
-        final["kl"] = None
-    return rows, final["kl"]
+    return measure
 
 
 def run_synthetic(config: ExperimentConfig) -> list[tuple]:
@@ -185,67 +214,13 @@ def run_synthetic(config: ExperimentConfig) -> list[tuple]:
     for d in config.dims:
         gamma = resolve_gamma(config, d)
         for n in config.n_particles:
-            rows.extend(_synthetic_cell(config, d, n, gamma))
-    return rows
-
-
-def _synthetic_cell(config: ExperimentConfig, d: int, n: int, gamma: float) -> list[tuple]:
-    T = config.n_steps
-    problems, posteriors, inits = {}, {}, {}
-    for seed in config.seeds:
-        problem = sample_synthetic_problem(d, T, seed)
-        problems[seed] = problem
-        posteriors[seed] = (
-            [expected_posterior(problem.center, t) for t in range(T + 1)],
-            [exact_posterior(problem, t) for t in range(T + 1)],
-        )
-        inits[seed] = rng.stream(seed, rng.INIT).standard_normal((n, d))
-
-    grids = {}
-    tasks = []
-    for method in config.methods:
-        center = config.grid.center
-        if center is None:
-            center = auto_grid_center(method, "synthetic", d, gamma)
-        values = grid_values(center, config.grid.orders, config.grid.points_per_order)
-        grids[method] = values
-        for gi, value in enumerate(values):
+            instances = {}
             for seed in config.seeds:
-                tasks.append((
-                    (method, gi, seed),
-                    (lambda m=method, v=value, s=seed: _synthetic_run(
-                        config, d, n, gamma, m, v, s, problems[s], posteriors[s], inits[s])),
-                ))
-    results = _execute(tasks, config.threads)
-
-    rows: list[tuple] = []
-    for method in config.methods:
-        finals: dict[int, list] = {}
-        for gi in range(len(grids[method])):
-            finals[gi] = []
-            for seed in config.seeds:
-                run_rows, final_kl = results[(method, gi, seed)]
-                rows.extend(run_rows)
-                finals[gi].append(final_kl)
-        best_gi, best_mean = None, math.inf
-        for gi, values in finals.items():
-            if any(v is None for v in values):
-                continue
-            mean = sum(values) / len(values)
-            if mean < best_mean:
-                best_gi, best_mean = gi, mean
-        if best_gi is None:
-            rows.append(_row("synthetic", method, d, n, None, None, None, None, None,
-                             T, "best_final_" + SELECTION_METRIC + "_mean", None, "error"))
-            continue
-        best_value = grids[method][best_gi]
-        rows.append(_row(
-            "synthetic", method, d, n, None,
-            best_value if method in ("flow", "gd") else None,
-            best_value if method == "mcl" else None,
-            gamma if method == "flow" else None,
-            None, T, "best_final_" + SELECTION_METRIC + "_mean", best_mean, "ok",
-        ))
+                problem = sample_synthetic_problem(d, config.n_steps, seed)
+                measure = _kl_measure(problem, config.n_steps)
+                init = rng.stream(seed, rng.INIT).standard_normal((n, d))
+                instances[seed] = (problem, init, measure)
+            rows.extend(_sweep(config, d, n, gamma, instances, SELECTION_METRIC))
     return rows
 
 
@@ -263,44 +238,13 @@ def _pose_init(seed: int, n: int) -> np.ndarray:
     return np.concatenate([translations, rotations], axis=1)
 
 
-def _pose_run(config, n, gamma, method, value, seed, problem, init):
-    T = config.n_steps
-    d = 6
-    eta = value
-    gamma_col = gamma if method == "flow" else None
-    rows: list[tuple] = []
-    final = {"trans": None}
-    progress = {"step": 0}
+def _pose_measure(true_pose):
+    """measure(step, particles): translation and rotation error of the mean pose."""
+    def measure(step: int, particles: np.ndarray) -> list[tuple]:
+        trans_cm, rot_deg = pose_errors(mean_pose(particles), true_pose)
+        return [(None, "trans_err_cm", trans_cm, "ok"), (None, "rot_err_deg", rot_deg, "ok")]
 
-    def record(step_idx: int, particles: np.ndarray) -> None:
-        progress["step"] = step_idx
-        trans_cm, rot_deg = pose_errors(mean_pose(particles), problem.true_pose)
-        rows.append(_row("pose", method, d, n, seed, eta, None, gamma_col, None,
-                         step_idx, "trans_err_cm", trans_cm, "ok"))
-        rows.append(_row("pose", method, d, n, seed, eta, None, gamma_col, None,
-                         step_idx, "rot_err_deg", rot_deg, "ok"))
-        if step_idx == T:
-            final["trans"] = trans_cm
-
-    try:
-        with np.errstate(all="ignore"):
-            record(0, init)
-            if method == "flow":
-                flow_config = FlowConfig(dim=d, gamma=gamma, eta=value, n_particles=n, n_steps=T)
-                flow_run(Ensemble(init, 0), problem, flow_config,
-                         observer=lambda s, e: record(s, e.particles))
-            elif method == "gd":
-                ensemble = Ensemble(init, 0)
-                for s in range(T):
-                    ensemble = gradient_descent_step(ensemble, problem, value)
-                    record(s + 1, ensemble.particles)
-            else:
-                raise ValueError(f"method {method!r} not supported for the pose benchmark")
-    except ValueError:
-        rows.append(_row("pose", method, d, n, seed, eta, None, gamma_col, None,
-                         progress["step"] + 1, "run_failed", None, "error"))
-        final["trans"] = None
-    return rows, final["trans"]
+    return measure
 
 
 def run_pose(config: ExperimentConfig) -> list[tuple]:
@@ -312,52 +256,14 @@ def run_pose(config: ExperimentConfig) -> list[tuple]:
     minimizes the mean final translation error across seeds.
     """
     d = 6
-    sigma_eff = config.sigma if config.sigma > 0 else 1.0
     gamma = resolve_gamma(config, d)
     rows: list[tuple] = []
     for n in config.n_particles:
-        problems = {seed: make_pose_problem(config.pose_points, config.sigma, seed) for seed in config.seeds}
-        inits = {seed: _pose_init(seed, n) for seed in config.seeds}
-        grids = {}
-        tasks = []
-        for method in config.methods:
-            center = config.grid.center
-            if center is None:
-                center = auto_grid_center(method, "pose", d, gamma, sigma_eff, config.pose_points)
-            values = grid_values(center, config.grid.orders, config.grid.points_per_order)
-            grids[method] = values
-            for gi, value in enumerate(values):
-                for seed in config.seeds:
-                    tasks.append((
-                        (method, gi, seed),
-                        (lambda m=method, v=value, s=seed: _pose_run(
-                            config, n, gamma, m, v, s, problems[s], inits[s])),
-                    ))
-        results = _execute(tasks, config.threads)
-        for method in config.methods:
-            finals = {}
-            for gi in range(len(grids[method])):
-                finals[gi] = []
-                for seed in config.seeds:
-                    run_rows, final_trans = results[(method, gi, seed)]
-                    rows.extend(run_rows)
-                    finals[gi].append(final_trans)
-            best_gi, best_mean = None, math.inf
-            for gi, values in finals.items():
-                if any(v is None for v in values):
-                    continue
-                mean = sum(values) / len(values)
-                if mean < best_mean:
-                    best_gi, best_mean = gi, mean
-            if best_gi is None:
-                rows.append(_row("pose", method, d, n, None, None, None, None, None,
-                                 config.n_steps, "best_final_trans_err_cm_mean", None, "error"))
-                continue
-            rows.append(_row(
-                "pose", method, d, n, None, grids[method][best_gi], None,
-                gamma if method == "flow" else None, None,
-                config.n_steps, "best_final_trans_err_cm_mean", best_mean, "ok",
-            ))
+        instances = {}
+        for seed in config.seeds:
+            problem = make_pose_problem(config.pose_points, config.sigma, seed)
+            instances[seed] = (problem, _pose_init(seed, n), _pose_measure(problem.true_pose))
+        rows.extend(_sweep(config, d, n, gamma, instances, "trans_err_cm"))
     return rows
 
 
@@ -461,14 +367,10 @@ def write_manifest(path: str, config: ExperimentConfig, elapsed_seconds: float) 
     items.append(("init_distribution", "standard_normal_prior"))
     items.append(("gd_eta_convention", "absorbs the kernel prefactor C*gamma**(2-d)"))
     for d in config.dims:
-        items.append((f"gamma_resolved.d{d}", repr(resolve_gamma(config, d))))
-        sigma_eff = config.sigma if config.sigma > 0 else 1.0
+        gamma = resolve_gamma(config, d)
+        items.append((f"gamma_resolved.d{d}", repr(gamma)))
         for method in config.methods:
-            center = config.grid.center
-            if center is None:
-                center = auto_grid_center(method, config.experiment, d, resolve_gamma(config, d),
-                                          sigma_eff, config.pose_points)
-            items.append((f"grid_center_resolved.{method}.d{d}", repr(center)))
+            items.append((f"grid_center_resolved.{method}.d{d}", repr(grid_center(config, method, d, gamma))))
     for key, value in sorted(items):
         lines.append(f"{key}={value}")
     with open(path, "w", encoding="utf-8") as handle:

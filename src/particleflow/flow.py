@@ -113,22 +113,26 @@ class LossEvaluation:
     normalized_losses: np.ndarray  # (n,)
 
 
-def kernel_constant(dim: int) -> float:
-    """Constant C = Gamma(d/2 + 1) / (d * (d - 2) * pi**(d/2)) of the kernel.
+def _log_kernel_constant(dim: int) -> float:
+    """log C, with C = Gamma(d/2 + 1) / (d * (d - 2) * pi**(d/2)).
 
-    Evaluated in log space so large dimensions do not overflow
-    intermediate factorials. Rejects dim < 3 where the expression is
-    singular or undefined.
+    Log space keeps large dimensions from overflowing intermediate
+    factorials. Rejects dim < 3 where the expression is singular or
+    undefined.
     """
     if dim < 3:
         raise ValueError(f"kernel constant requires dim >= 3, got {dim}")
-    log_c = (
+    return (
         math.lgamma(dim / 2.0 + 1.0)
         - math.log(dim)
         - math.log(dim - 2)
         - (dim / 2.0) * math.log(math.pi)
     )
-    return math.exp(log_c)
+
+
+def kernel_constant(dim: int) -> float:
+    """Constant C = Gamma(d/2 + 1) / (d * (d - 2) * pi**(d/2)) of the kernel."""
+    return math.exp(_log_kernel_constant(dim))
 
 
 def gradient_coefficient(dim: int, gamma: float) -> float:
@@ -138,16 +142,9 @@ def gradient_coefficient(dim: int, gamma: float) -> float:
     (gamma=0.1, d=10 already gives 1e8), so the product is formed from
     logarithms. Overall magnitude is the caller's concern, via eta.
     """
-    if dim < 3:
-        raise ValueError(f"gradient coefficient requires dim >= 3, got {dim}")
+    log_c = _log_kernel_constant(dim)
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    log_c = (
-        math.lgamma(dim / 2.0 + 1.0)
-        - math.log(dim)
-        - math.log(dim - 2)
-        - (dim / 2.0) * math.log(math.pi)
-    )
     return math.exp(log_c + (2.0 - dim) * math.log(gamma))
 
 
@@ -188,8 +185,7 @@ def _interaction_sum(x: np.ndarray, normalized_losses: np.ndarray, gamma: float,
 
     The i = j summand is excluded, hence exactly zero. Each particle's sum
     accumulates over i in ascending index order (plain einsum reductions),
-    so the result is bit-stable for any distribution of the outer j blocks
-    across threads.
+    so the result is bit-stable for any split of the outer j blocks.
     """
     n, d = x.shape
     scaled = (dim - 2.0) * normalized_losses

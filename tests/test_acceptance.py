@@ -360,15 +360,23 @@ def _flow_setup(n, d=10):
     return ensemble, well, config
 
 
-def _median_step_time(n, reps=5):
-    ensemble, well, config = _flow_setup(n)
-    step(ensemble, well, config)  # warm up allocators and caches
-    times = []
+def _min_step_times(sizes, reps=11):
+    """Fastest of `reps` timed steps per ensemble size, after a warm-up.
+
+    Each round times one step of every size, so a slow spell on a shared
+    machine lands on all sizes alike rather than on one; the minimum then
+    keeps the least disturbed round, since interference only adds time.
+    """
+    setups = {n: _flow_setup(n) for n in sizes}
+    for ensemble, well, config in setups.values():
+        step(ensemble, well, config)  # warm up allocators and caches
+    times = {n: [] for n in sizes}
     for _ in range(reps):
-        start = time.perf_counter()
-        step(ensemble, well, config)
-        times.append(time.perf_counter() - start)
-    return float(np.median(times))
+        for n, (ensemble, well, config) in setups.items():
+            start = time.perf_counter()
+            step(ensemble, well, config)
+            times[n].append(time.perf_counter() - start)
+    return {n: min(t) for n, t in times.items()}
 
 
 def _peak_update_memory(n):
@@ -382,7 +390,7 @@ def _peak_update_memory(n):
 
 
 def test_c9_complexity():
-    times = {n: _median_step_time(n) for n in (512, 1024, 2048)}
+    times = _min_step_times((512, 1024, 2048))
     r1 = times[1024] / times[512]
     r2 = times[2048] / times[1024]
     time_ok = 3.0 <= r1 <= 6.0 and 3.0 <= r2 <= 6.0

@@ -80,6 +80,8 @@ def test_invariants_rejected():
     with pytest.raises(ValueError):
         make_config("synthetic", {"methods": ("sgd",)})
     with pytest.raises(ValueError):
+        make_config("pose", {"methods": ("flow", "mcl")})
+    with pytest.raises(ValueError):
         ExperimentConfig(experiment="nope")
     with pytest.raises(ValueError):
         GridSpec(center=-1.0)
@@ -119,16 +121,6 @@ def test_cli_rerun_is_byte_identical(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_cli_threads_do_not_change_output(tmp_path):
-    args = ["synthetic", "--dims", "4", "--n-particles", "12", "--n-steps", "6",
-            "--seeds", "0,1,2", "--grid-orders", "2", "--grid-points-per-order", "1"]
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    main(args + ["--out", str(serial), "--threads", "1"])
-    main(args + ["--out", str(threaded), "--threads", "4"])
-    assert serial.read_bytes() == threaded.read_bytes()
-
-
 def test_cli_summarize_round_trip(tmp_path):
     runs = tmp_path / "runs.csv"
     main(["synthetic", "--dims", "4", "--n-particles", "12", "--n-steps", "4",
@@ -163,3 +155,13 @@ def test_summarize_matches_manual_aggregation():
 def test_cli_rejects_bad_flag_value():
     with pytest.raises(SystemExit):
         main(["synthetic", "--n-steps", "many", "--out", "/tmp/never.csv"])
+
+
+def test_cli_rejects_invalid_config_without_traceback(tmp_path):
+    with pytest.raises(SystemExit, match="synthetic dims must all be >= 3"):
+        main(["synthetic", "--dims", "2", "--out", str(tmp_path / "never.csv")])
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("wibble=1\n")
+    with pytest.raises(SystemExit, match="unknown key 'wibble'"):
+        main(["pose", "--config", str(bad), "--out", str(tmp_path / "never.csv")])
+    assert not (tmp_path / "never.csv").exists()
