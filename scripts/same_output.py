@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Check that the working tree writes the same CSVs as another revision.
+
+    python3 scripts/same_output.py BASE_REV
+
+Runs every `configs/*.cfg` protocol with `--seeds 0,1`, plus two
+error-path sweeps (one writing `fit_error` rows, one writing `kl_error`
+and `run_failed` rows), once from a checkout of BASE_REV (`git archive`
+into a temporary directory) and once from the working tree. Each pair of
+CSVs is compared byte for byte; one line per file is printed, and the exit
+status is 1 if any pair differs or a run fails. Manifests are not
+compared: they hold timestamps.
+"""
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+# (output name, CLI arguments) of the error-path sweeps
+ERROR_PATHS = [
+    # n=1 runs: every step is a fit_error row (1260 of them)
+    ("fit_error", ["synthetic", "--dims", "4,10", "--n-particles", "1,12", "--n-steps", "6",
+                   "--seeds", "0,1", "--method", "flow,mcl,gd", "--grid-orders", "14",
+                   "--grid-points-per-order", "1"]),
+    # grid edges that diverge: 124 kl_error and 14 run_failed rows
+    ("kl_error", ["synthetic", "--dims", "4", "--n-particles", "12", "--n-steps", "20",
+                  "--seeds", "0,1", "--method", "flow,mcl,gd", "--grid-orders", "30",
+                  "--grid-points-per-order", "1"]),
+]
+
+
+def commands() -> list[tuple[str, list[str]]]:
+    """(output name, CLI arguments) of every compared run."""
+    runs = []
+    for cfg in sorted((REPO / "configs").glob("*.cfg")):
+        experiment = cfg.stem.split("_")[0]  # synthetic_d10.cfg -> synthetic
+        runs.append((cfg.stem, [experiment, "--config", str(cfg), "--seeds", "0,1"]))
+    return runs + ERROR_PATHS
+
+
+def run_all(tree: Path, out_dir: Path) -> dict[str, str | None]:
+    """Run every command with tree/src first on the path; name -> error or None."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    # one BLAS thread on both sides, so reduction order cannot differ between them
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.setdefault(var, "1")
+    out_dir.mkdir(parents=True)
+    errors = {}
+    for name, args in commands():
+        proc = subprocess.run(
+            [sys.executable, "-m", "particleflow", *args, "--out", str(out_dir / f"{name}.csv")],
+            cwd=out_dir, env=env, capture_output=True, text=True,
+        )
+        errors[name] = None if proc.returncode == 0 else (proc.stderr.strip().splitlines() or ["?"])[-1]
+    return errors
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        raise SystemExit("usage: python3 scripts/same_output.py BASE_REV")
+    base_rev = argv[0]
+    tmp = Path(tempfile.mkdtemp(prefix="same_output_"))
+    try:
+        base = tmp / "base"
+        base.mkdir()
+        archive = subprocess.run(["git", "-C", str(REPO), "archive", base_rev], capture_output=True)
+        if archive.returncode != 0:
+            raise SystemExit(f"git archive {base_rev}: {archive.stderr.decode().strip()}")
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
+        base_errors = run_all(base, tmp / "out_base")
+        work_errors = run_all(REPO, tmp / "out_work")
+        differ = 0
+        for name, _ in commands():
+            if base_errors[name] or work_errors[name]:
+                verdict = f"run failed (base: {base_errors[name]}; work: {work_errors[name]})"
+            else:
+                left = (tmp / "out_base" / f"{name}.csv").read_bytes()
+                right = (tmp / "out_work" / f"{name}.csv").read_bytes()
+                verdict = "identical" if left == right else "DIFFERENT"
+            differ += verdict != "identical"
+            print(f"{name}.csv: {verdict}")
+        print(f"{len(commands()) - differ} of {len(commands())} CSVs identical to {base_rev}")
+        return 1 if differ else 0
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

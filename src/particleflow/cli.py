@@ -15,10 +15,10 @@ import time
 from . import experiments
 from .config import _KEY_PARSERS, make_config, parse_config_file
 
-_RUNNERS = {
+# sweep runners; each also reports why its failed runs failed
+_SWEEPS = {
     "synthetic": experiments.run_synthetic,
     "pose": experiments.run_pose,
-    "theorem": experiments.run_theorem,
 }
 
 _COMMON_FLAGS = [
@@ -93,12 +93,16 @@ def main(argv=None) -> int:
         config = make_config(args.command, file_values, _flag_overrides(args))
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
+    failures: list[str] = []  # why each run_failed row failed, in row order
     start = time.perf_counter()
-    rows = _RUNNERS[args.command](config)
+    if args.command == "theorem":
+        rows = experiments.run_theorem(config)
+    else:
+        rows = _SWEEPS[args.command](config, failures)
     elapsed = time.perf_counter() - start
     experiments.write_csv(config.out, rows)
     manifest_path = config.out + ".manifest.txt"
-    experiments.write_manifest(manifest_path, config, elapsed)
+    experiments.write_manifest(manifest_path, config, elapsed, failures)
     print(f"wrote {config.out} ({len(rows)} rows) and {manifest_path}")
     if args.command == "theorem":
         verdicts = {row[10]: row[11] for row in rows if row[4] == ""}

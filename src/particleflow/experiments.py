@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -119,7 +120,8 @@ def _trajectory(method, value, problem, init, gamma, seed, n_steps):
         yield s + 1, ensemble.particles
 
 
-def _sweep(config: ExperimentConfig, d: int, n: int, gamma: float, instances: dict, selection: str) -> list[tuple]:
+def _sweep(config: ExperimentConfig, d: int, n: int, gamma: float, instances: dict, selection: str,
+           failures: list[str] | None) -> list[tuple]:
     """Grid search of every configured method over per-seed instances.
 
     instances maps seed -> (problem, init, measure), where measure(step,
@@ -128,6 +130,8 @@ def _sweep(config: ExperimentConfig, d: int, n: int, gamma: float, instances: di
     run_failed row at the step that raised. The best grid point per method
     minimizes the mean final-step `selection` metric across seeds; a grid
     point counts only if that metric is ok at the last step for every seed.
+    Unless failures is None, one line per run_failed row, in row order,
+    says which run failed at which step and why.
     """
     experiment, T = config.experiment, config.n_steps
     rows: list[tuple] = []
@@ -149,9 +153,14 @@ def _sweep(config: ExperimentConfig, d: int, n: int, gamma: float, instances: di
                             rows.extend(_row(experiment, method, d, n, seed, eta, epsilon, gamma_col,
                                              ridge, step, metric, v, status)
                                         for ridge, metric, v, status in measured)
-                except ValueError:
+                except ValueError as exc:
                     rows.append(_row(experiment, method, d, n, seed, eta, epsilon, gamma_col,
                                      None, step + 1, "run_failed", None, "error"))
+                    if failures is not None:
+                        swept = "epsilon" if method == "mcl" else "eta"
+                        reason = str(exc).replace("\n", " ")
+                        failures.append(f"{method} d={d} n={n} seed={seed} {swept}={_fmt(value)} "
+                                        f"step={step + 1}: {reason}")
                     finals.append(None)
                 else:
                     finals.append(next((v for _, metric, v, _ in measured if metric == selection), None))
@@ -201,14 +210,15 @@ def _kl_measure(problem, n_steps: int):
     return measure
 
 
-def run_synthetic(config: ExperimentConfig) -> list[tuple]:
+def run_synthetic(config: ExperimentConfig, failures: list[str] | None = None) -> list[tuple]:
     """Sweep (d, n, method, grid point, seed) on the synthetic localization task.
 
     Particles start iid from the standard normal prior. Every step records
     the KL divergence between a Gaussian fit to the particles and both the
     direction-averaged and the realized posterior, in both argument
     orders. The best grid point per (method, d, n) minimizes the mean
-    final-step kl_fit_vs_expected across seeds.
+    final-step kl_fit_vs_expected across seeds. A list passed as failures
+    receives the reason for each run_failed row (see `_sweep`).
     """
     rows: list[tuple] = []
     for d in config.dims:
@@ -220,7 +230,7 @@ def run_synthetic(config: ExperimentConfig) -> list[tuple]:
                 measure = _kl_measure(problem, config.n_steps)
                 init = rng.stream(seed, rng.INIT).standard_normal((n, d))
                 instances[seed] = (problem, init, measure)
-            rows.extend(_sweep(config, d, n, gamma, instances, SELECTION_METRIC))
+            rows.extend(_sweep(config, d, n, gamma, instances, SELECTION_METRIC, failures))
     return rows
 
 
@@ -247,13 +257,14 @@ def _pose_measure(true_pose):
     return measure
 
 
-def run_pose(config: ExperimentConfig) -> list[tuple]:
+def run_pose(config: ExperimentConfig, failures: list[str] | None = None) -> list[tuple]:
     """Synthetic registration benchmark: flow versus per-particle gradient descent.
 
     Both methods start from identical random pose particles and run the
     same iteration budget; every step records translation (cm) and signed
     rotation (deg) error of the mean pose. The best grid point per method
-    minimizes the mean final translation error across seeds.
+    minimizes the mean final translation error across seeds. A list passed
+    as failures receives the reason for each run_failed row (see `_sweep`).
     """
     d = 6
     gamma = resolve_gamma(config, d)
@@ -263,7 +274,7 @@ def run_pose(config: ExperimentConfig) -> list[tuple]:
         for seed in config.seeds:
             problem = make_pose_problem(config.pose_points, config.sigma, seed)
             instances[seed] = (problem, _pose_init(seed, n), _pose_measure(problem.true_pose))
-        rows.extend(_sweep(config, d, n, gamma, instances, "trans_err_cm"))
+        rows.extend(_sweep(config, d, n, gamma, instances, "trans_err_cm", failures))
     return rows
 
 
@@ -355,8 +366,13 @@ def write_csv(path: str, rows: list[tuple]) -> None:
             handle.write(",".join(row) + "\n")
 
 
-def write_manifest(path: str, config: ExperimentConfig, elapsed_seconds: float) -> None:
-    """Resolved config, versions, and generator name; wall-clock in the header."""
+def write_manifest(path: str, config: ExperimentConfig, elapsed_seconds: float,
+                   failures: Sequence[str] = ()) -> None:
+    """Resolved config, versions, and generator name; wall-clock in the header.
+
+    The sorted key=value lines are followed by one `run_failed.<k>` line per
+    failure reason, k = 1, 2, ... in CSV row order.
+    """
     lines = [
         f"# generated_at={datetime.datetime.now(datetime.timezone.utc).isoformat()}",
         f"# elapsed_seconds={elapsed_seconds:.3f}",
@@ -373,6 +389,7 @@ def write_manifest(path: str, config: ExperimentConfig, elapsed_seconds: float) 
             items.append((f"grid_center_resolved.{method}.d{d}", repr(grid_center(config, method, d, gamma))))
     for key, value in sorted(items):
         lines.append(f"{key}={value}")
+    lines.extend(f"run_failed.{k}={reason}" for k, reason in enumerate(failures, start=1))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 

@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dtrtrs
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 from scipy.spatial.transform import Rotation
@@ -19,7 +20,8 @@ class GaussianSummary:
 
     `ridge` records the diagonal regularization applied by `fit_gaussian`
     (None for analytic summaries); it is logged per run because it affects
-    downstream KL values.
+    downstream KL values. Mean and covariance are read-only copies, so the
+    Cholesky factor cached on first use cannot go stale.
     """
 
     mean: np.ndarray
@@ -27,8 +29,8 @@ class GaussianSummary:
     ridge: float | None = None
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=np.float64)
-        cov = np.asarray(self.covariance, dtype=np.float64)
+        mean = np.array(self.mean, dtype=np.float64, copy=True)
+        cov = np.array(self.covariance, dtype=np.float64, copy=True)
         if mean.ndim != 1:
             raise ValueError(f"mean must be 1-d, got shape {mean.shape}")
         d = mean.shape[0]
@@ -38,12 +40,27 @@ class GaussianSummary:
         scale = max(1.0, float(np.abs(cov).max(initial=0.0)))
         if asym > 1e-12 * scale:
             raise ValueError(f"covariance asymmetric: max |S - S^T| = {asym:g}")
+        mean.setflags(write=False)
+        cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+    @cached_property
+    def cholesky(self) -> tuple[np.ndarray, float]:
+        """(lower Cholesky factor, ln det covariance), computed on first use.
+
+        Raises LinAlgError if the covariance is not positive definite and
+        ValueError if the factor is not finite; neither outcome is cached.
+        """
+        factor = np.linalg.cholesky(self.covariance)
+        if not np.isfinite(factor).all():
+            raise ValueError("covariance has a non-finite Cholesky factor")
+        factor.setflags(write=False)
+        return factor, 2.0 * float(np.sum(np.log(np.diag(factor))))
 
 
 @dataclass(frozen=True)
@@ -85,15 +102,33 @@ def fit_gaussian(particles, ridge: float | None = None) -> GaussianSummary:
     return GaussianSummary(mean, cov, ridge=applied)
 
 
-def _cholesky_or_diagnose(cov: np.ndarray, name: str) -> np.ndarray:
+def _factor(g: GaussianSummary, name: str) -> tuple[np.ndarray, float]:
+    """g's cached Cholesky factor and log-determinant, or a ValueError that
+    names the argument and gives the eigenvalue range."""
     try:
-        return np.linalg.cholesky(cov)
+        return g.cholesky
     except np.linalg.LinAlgError:
-        eigs = np.linalg.eigvalsh(cov)
+        eigs = np.linalg.eigvalsh(g.covariance)
         raise ValueError(
             f"{name} covariance is not positive definite "
             f"(eigenvalues in [{eigs.min():g}, {eigs.max():g}])"
         ) from None
+
+
+def _solve_lower(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """factor^-1 b for a C-ordered lower triangular factor.
+
+    The LAPACK call `scipy.linalg.solve_triangular(factor, b, lower=True)`
+    makes for such a factor (the transposed upper system in Fortran order),
+    without its per-call validation; the factor is checked finite when it
+    is computed.
+    """
+    x, info = dtrtrs(factor.T, b, lower=0, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
+    return x
 
 
 def kl_gaussians(p: GaussianSummary, q: GaussianSummary) -> float:
@@ -103,20 +138,23 @@ def kl_gaussians(p: GaussianSummary, q: GaussianSummary) -> float:
            + ln det Sq - ln det Sp]
 
     evaluated through Cholesky factors; neither covariance is explicitly
-    inverted. Raises ValueError with an eigenvalue diagnostic if either
-    covariance is not positive definite.
+    inverted. Each summary is factored once, on first use, and its factor
+    and log-determinant are reused by every later KL it enters. Raises
+    ValueError with an eigenvalue diagnostic if either covariance is not
+    positive definite, and ValueError on non-finite input.
     """
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
     d = p.dim
-    lq = _cholesky_or_diagnose(q.covariance, "second (reference)")
-    lp = _cholesky_or_diagnose(p.covariance, "first")
-    a = scipy.linalg.solve_triangular(lq, lp, lower=True)
+    lq, logdet_q = _factor(q, "second (reference)")
+    lp, logdet_p = _factor(p, "first")
+    a = _solve_lower(lq, lp)
     trace_term = float(np.sum(a * a))
-    u = scipy.linalg.solve_triangular(lq, q.mean - p.mean, lower=True)
+    shift = q.mean - p.mean
+    if not np.isfinite(shift).all():
+        raise ValueError("mean difference must not contain infs or NaNs")
+    u = _solve_lower(lq, shift)
     maha = float(u @ u)
-    logdet_q = 2.0 * float(np.sum(np.log(np.diag(lq))))
-    logdet_p = 2.0 * float(np.sum(np.log(np.diag(lp))))
     kl = 0.5 * (trace_term + maha - d + logdet_q - logdet_p)
     if kl < -1e-8:
         raise ValueError(f"KL evaluated to {kl:g} < 0; inputs are inconsistent")

@@ -9,6 +9,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.linalg
 
 
 def naive_flow_displacements(particles, losses, grads, gamma, eta):
@@ -93,6 +94,22 @@ def monte_carlo_kl(p_mean, p_cov, q_mean, q_cov, n_samples, gen):
     return float(np.mean(
         gaussian_logpdf(samples, p_mean, p_cov) - gaussian_logpdf(samples, q_mean, q_cov)
     ))
+
+
+def fresh_factor_kl(p_mean, p_cov, q_mean, q_cov):
+    """KL(p || q) with both covariances factored afresh and every triangular
+    solve through scipy.linalg.solve_triangular, in the library's order of
+    operations (a bitwise oracle for the cached-factor path)."""
+    d = p_mean.shape[0]
+    lq = np.linalg.cholesky(q_cov)
+    lp = np.linalg.cholesky(p_cov)
+    a = scipy.linalg.solve_triangular(lq, lp, lower=True)
+    trace_term = float(np.sum(a * a))
+    u = scipy.linalg.solve_triangular(lq, q_mean - p_mean, lower=True)
+    maha = float(u @ u)
+    logdet_q = 2.0 * float(np.sum(np.log(np.diag(lq))))
+    logdet_p = 2.0 * float(np.sum(np.log(np.diag(lp))))
+    return max(0.5 * (trace_term + maha - d + logdet_q - logdet_p), 0.0)
 
 
 def random_spd_pair(gen, d, min_eig=0.5, max_eig=2.0, mean_offset=1.5):

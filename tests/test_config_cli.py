@@ -121,6 +121,24 @@ def test_cli_rerun_is_byte_identical(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_cli_manifest_records_why_each_run_failed(tmp_path):
+    out = tmp_path / "runs.csv"
+    main(["synthetic", "--dims", "4", "--n-particles", "12", "--n-steps", "20", "--seeds", "0,1",
+          "--method", "flow", "--grid-orders", "30", "--grid-points-per-order", "1",
+          "--out", str(out)])
+    records = [dict(zip(HEADER, line.split(","))) for line in out.read_text().splitlines()[1:]]
+    failed = [r for r in records if r["metric"] == "run_failed"]
+    manifest = (tmp_path / "runs.csv.manifest.txt").read_text().splitlines()
+    reasons = [line for line in manifest if line.startswith("run_failed.")]
+    assert failed and len(reasons) == len(failed)
+    for k, (row, line) in enumerate(zip(failed, reasons), start=1):
+        key, _, reason = line.partition("=")
+        assert key == f"run_failed.{k}"
+        where, _, message = reason.partition(": ")
+        assert where == f"flow d=4 n=12 seed={row['seed']} eta={row['eta']} step={row['step']}"
+        assert message
+
+
 def test_cli_summarize_round_trip(tmp_path):
     runs = tmp_path / "runs.csv"
     main(["synthetic", "--dims", "4", "--n-particles", "12", "--n-steps", "4",

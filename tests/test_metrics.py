@@ -16,7 +16,7 @@ from particleflow.metrics import (
 )
 from particleflow.pose import PoseState
 
-from reference import brute_force_assignment, monte_carlo_kl, random_spd_pair
+from reference import brute_force_assignment, fresh_factor_kl, monte_carlo_kl, random_spd_pair
 
 
 def spd(gen, d, lo=0.5, hi=2.0):
@@ -108,6 +108,73 @@ def test_kl_nonnegative_on_random_pairs(seed):
     p = GaussianSummary(gen.standard_normal(3), spd(gen, 3))
     q = GaussianSummary(gen.standard_normal(3), spd(gen, 3))
     assert kl_gaussians(p, q) >= 0.0
+
+
+@pytest.mark.parametrize("d", [3, 10, 50])
+def test_kl_cached_factors_bitwise_equal_fresh_factors(d):
+    gen = np.random.default_rng(d)
+    for _ in range(5):
+        (mp, sp), (mq, sq) = random_spd_pair(gen, d)
+        p, q = GaussianSummary(mp, sp), GaussianSummary(mq, sq)
+        for _ in range(2):  # first call factors, the second reuses the factors
+            assert kl_gaussians(p, q) == fresh_factor_kl(mp, sp, mq, sq)
+            assert kl_gaussians(q, p) == fresh_factor_kl(mq, sq, mp, sp)
+
+
+def test_kl_factors_each_summary_once(monkeypatch):
+    gen = np.random.default_rng(5)
+    (m1, s1), (m2, s2) = random_spd_pair(gen, 4)
+    expected, exact = GaussianSummary(m1, s1), GaussianSummary(m2, s2)
+    fit = fit_gaussian(gen.standard_normal((20, 4)))
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    kl_gaussians(fit, expected)
+    kl_gaussians(expected, fit)
+    kl_gaussians(fit, exact)
+    kl_gaussians(exact, fit)
+    assert len(calls) == 3
+
+
+def test_kl_failed_factor_is_not_cached_and_names_the_argument():
+    good = GaussianSummary(np.zeros(2), np.eye(2))
+    singular = GaussianSummary(np.zeros(2), np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError, match="first covariance is not positive definite"):
+        kl_gaussians(singular, good)
+    with pytest.raises(ValueError, match=r"second \(reference\) covariance is not positive definite"):
+        kl_gaussians(good, singular)
+
+
+@pytest.mark.parametrize("bad", ["covariance", "mean"])
+def test_kl_rejects_non_finite_input(bad):
+    mean, cov = np.zeros(3), np.eye(3)
+    if bad == "covariance":
+        cov[1, 1] = np.inf
+    else:
+        mean[2] = np.nan
+    with np.errstate(invalid="ignore"):  # inf - inf in the symmetry check
+        broken = GaussianSummary(mean, cov)
+    good = GaussianSummary(np.ones(3), np.eye(3))
+    with pytest.raises(ValueError):
+        kl_gaussians(broken, good)
+    with pytest.raises(ValueError):
+        kl_gaussians(good, broken)
+
+
+def test_gaussian_summary_holds_read_only_copies():
+    mean, cov = np.zeros(2), np.eye(2)
+    g = GaussianSummary(mean, cov)
+    mean[0], cov[0, 0] = 5.0, 5.0
+    assert g.mean[0] == 0.0 and g.covariance[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        g.covariance[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        g.mean[0] = 2.0
 
 
 def test_gaussian_summary_rejects_asymmetry():
