@@ -18,51 +18,11 @@ class MCLConfig:
     """
 
     epsilon: float
-    n_particles: int
     rng_seed: int
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.n_particles < 1:
-            raise ValueError(f"n_particles must be >= 1, got {self.n_particles}")
-
-
-@dataclass(frozen=True)
-class WeightedEnsemble:
-    """Particles with importance weights forming a distribution."""
-
-    particles: np.ndarray  # (n, d)
-    weights: np.ndarray  # (n,), nonnegative, sums to 1
-
-    def __post_init__(self) -> None:
-        x = np.array(self.particles, dtype=np.float64, copy=True)
-        w = np.array(self.weights, dtype=np.float64, copy=True)
-        if x.ndim != 2 or x.shape[0] < 1:
-            raise ValueError(f"particles must be (n, d) with n >= 1, got shape {np.shape(self.particles)}")
-        if w.shape != (x.shape[0],):
-            raise ValueError(f"weights shape {w.shape} does not match {x.shape[0]} particles")
-        if (w < 0).any():
-            raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-        x.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "particles", x)
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def uniform(cls, particles: np.ndarray) -> "WeightedEnsemble":
-        x = np.asarray(particles, dtype=np.float64)
-        return cls(x, np.full(x.shape[0], 1.0 / x.shape[0]))
-
-    @property
-    def n(self) -> int:
-        return self.particles.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.particles.shape[1]
 
 
 def systematic_resample(weights: np.ndarray, offset: float) -> np.ndarray:
@@ -82,59 +42,31 @@ def systematic_resample(weights: np.ndarray, offset: float) -> np.ndarray:
     return np.searchsorted(cumulative, positions, side="right")
 
 
-def mcl_step(
-    ensemble: WeightedEnsemble,
-    loss_model,
-    config: MCLConfig,
-    step_index: int,
-) -> WeightedEnsemble:
+def mcl_step(particles: np.ndarray, loss_model, config: MCLConfig, step_index: int) -> np.ndarray:
     """One motion / weight / resample cycle of Monte Carlo localization.
 
     Motion adds N(0, epsilon I) noise from the (seed, step) keyed stream;
     weights are proportional to exp(-loss) computed stably by shifting the
     minimum loss to zero before exponentiating (the best particle always
     keeps weight 1, so total weight cannot underflow to zero); systematic
-    resampling with a single seeded uniform offset returns n equally
-    weighted particles. Deterministic per (rng_seed, step_index).
+    resampling with a single seeded uniform offset returns n particles.
+    Resampling leaves the weights uniform, so particles enter and leave a
+    step unweighted. Deterministic per (rng_seed, step_index).
     """
     gen = rng.stream(config.rng_seed, rng.MOTION, step_index)
-    moved = ensemble.particles + np.sqrt(config.epsilon) * gen.standard_normal(
-        ensemble.particles.shape
-    )
+    moved = particles + np.sqrt(config.epsilon) * gen.standard_normal(particles.shape)
     losses = np.asarray(loss_model.loss(step_index, moved), dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(losses))
     if bad.size:
         raise ValueError(f"non-finite loss for particle {bad[0]} at step {step_index}")
-    weights = ensemble.weights * np.exp(-(losses - losses.min()))
+    weights = (1.0 / particles.shape[0]) * np.exp(-(losses - losses.min()))
     total = weights.sum()
     assert total > 0.0, "degenerate weights: total underflowed despite min-shift"
     weights /= total
-    indices = systematic_resample(weights, float(gen.uniform()))
-    return WeightedEnsemble.uniform(moved[indices])
+    return moved[systematic_resample(weights, float(gen.uniform()))]
 
 
-def run_mcl(
-    initial_particles: np.ndarray,
-    loss_model,
-    config: MCLConfig,
-    n_steps: int,
-    observer=None,
-) -> WeightedEnsemble:
-    """Apply mcl_step n_steps times from equally weighted initial particles."""
-    ensemble = WeightedEnsemble.uniform(initial_particles)
-    for s in range(n_steps):
-        ensemble = mcl_step(ensemble, loss_model, config, s)
-        if observer is not None:
-            observer(s + 1, ensemble)
-    return ensemble
-
-
-def gradient_descent_step(
-    ensemble: Ensemble,
-    loss_model,
-    eta: float,
-    step_index: int | None = None,
-) -> Ensemble:
+def gradient_descent_step(ensemble: Ensemble, loss_model, eta: float) -> Ensemble:
     """Independent gradient step x <- x - eta * grad L_t(x) per particle.
 
     Equivalent to the particle flow with the attraction-repulsion term
@@ -142,7 +74,7 @@ def gradient_descent_step(
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    t = ensemble.step_index if step_index is None else step_index
+    t = ensemble.step_index
     grads = np.asarray(loss_model.grad(t, ensemble.particles), dtype=np.float64)
     if grads.shape != ensemble.particles.shape:
         raise ValueError(f"gradient shape {grads.shape} does not match particles")

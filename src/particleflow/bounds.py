@@ -20,6 +20,10 @@ import numpy as np
 from . import rng
 from .metrics import wasserstein_exact
 
+# `perturbed_flow_check` records a checkpoint every steps // N_CHECKPOINTS
+# Euler steps, and at the last step.
+N_CHECKPOINTS = 100
+
 
 @dataclass(frozen=True)
 class GronwallBoundParams:
@@ -83,7 +87,6 @@ def perturbed_flow_check(
     t_end: float,
     dt: float,
     seed: int,
-    n_checkpoints: int = 100,
     field_lipschitz: float | None = None,
     perturbation: str = "aligned",
 ) -> DivergenceCheckReport:
@@ -134,7 +137,7 @@ def perturbed_flow_check(
 
     w0 = wasserstein_exact(x, z).total_cost
     steps = int(round(t_end / dt))
-    every = max(1, steps // n_checkpoints)
+    every = max(1, steps // N_CHECKPOINTS)
     times, observed, bounds = [], [], []
     at = a.T
     for k in range(1, steps + 1):

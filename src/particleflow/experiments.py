@@ -16,7 +16,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import __version__, flow, rng
-from .baselines import MCLConfig, WeightedEnsemble, gradient_descent_step, mcl_step
+from .baselines import MCLConfig, gradient_descent_step, mcl_step
 from .bounds import GronwallBoundParams, gronwall_bound, max_ratio, perturbed_flow_check
 from .config import ExperimentConfig
 from .flow import Ensemble, FlowConfig, gradient_coefficient
@@ -101,23 +101,22 @@ def grid_center(config: ExperimentConfig, method: str, d: int, gamma: float) -> 
 
 def _trajectory(method, value, problem, init, gamma, seed, n_steps):
     """Yield (step, particles) of one run, from the initial particles at step 0
-    through step n_steps; a failing step raises ValueError."""
+    through step n_steps; a failing step raises ValueError. MCL steps plain
+    particle arrays, flow and GD step an `Ensemble`."""
     yield 0, init
-    if method == "mcl":
-        config = MCLConfig(epsilon=value, n_particles=init.shape[0], rng_seed=seed)
-        ensemble = WeightedEnsemble.uniform(init)
-    else:
-        ensemble = Ensemble(init, 0)
     if method == "flow":
         config = FlowConfig(dim=init.shape[1], gamma=gamma, eta=value)
+    elif method == "mcl":
+        config = MCLConfig(epsilon=value, rng_seed=seed)
+    state = init if method == "mcl" else Ensemble(init, 0)
     for s in range(n_steps):
         if method == "flow":
-            ensemble = flow.step(ensemble, problem, config)
+            state = flow.step(state, problem, config)
         elif method == "mcl":
-            ensemble = mcl_step(ensemble, problem, config, s)
+            state = mcl_step(state, problem, config, s)
         else:
-            ensemble = gradient_descent_step(ensemble, problem, value)
-        yield s + 1, ensemble.particles
+            state = gradient_descent_step(state, problem, value)
+        yield s + 1, state if method == "mcl" else state.particles
 
 
 def _sweep(config: ExperimentConfig, d: int, n: int, gamma: float, instances: dict, selection: str,

@@ -41,14 +41,12 @@ class FlowConfig:
         so smaller dimensions are rejected outright.
     gamma: kernel smoothing length, > 0 (state units).
     eta: step size multiplying the whole velocity field, > 0.
-    n_particles: ensemble size the config is intended for.
     n_steps: number of filter iterations performed by `run`.
     """
 
     dim: int
     gamma: float
     eta: float
-    n_particles: int = 1
     n_steps: int = 1
 
     def __post_init__(self) -> None:
@@ -58,8 +56,6 @@ class FlowConfig:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if not self.eta > 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.n_particles < 1:
-            raise ValueError(f"n_particles must be >= 1, got {self.n_particles}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
 
@@ -186,6 +182,10 @@ def _interaction_sum(x: np.ndarray, normalized_losses: np.ndarray, gamma: float,
     The i = j summand is excluded, hence exactly zero. Each particle's sum
     accumulates over i in ascending index order (plain einsum reductions),
     so the result is bit-stable for any split of the outer j blocks.
+
+    Raises ValueError naming the first particle pair (i, j) whose summand
+    is not finite. A sum that overflows from finite summands is returned
+    as is.
     """
     n, d = x.shape
     scaled = (dim - 2.0) * normalized_losses
@@ -199,24 +199,25 @@ def _interaction_sum(x: np.ndarray, normalized_losses: np.ndarray, gamma: float,
             w = scaled / (sq + g2) ** (0.5 * dim)
             w[np.arange(stop - start), np.arange(start, stop)] = 0.0
             out[start:stop] = np.einsum("bi,bid->bd", w, diff)
+            if not np.isfinite(out[start:stop]).all():
+                bad = np.argwhere(~np.isfinite(w[:, :, None] * diff).all(axis=2))
+                if bad.size:
+                    b, i = bad[0]
+                    raise ValueError(f"non-finite interaction term for particle pair ({i}, {start + b})")
     return out
 
 
-def flow_update(
-    ensemble: Ensemble,
-    evaluation: LossEvaluation,
-    config: FlowConfig,
-    include_interaction: bool = True,
-) -> np.ndarray:
+def flow_update(ensemble: Ensemble, evaluation: LossEvaluation, config: FlowConfig) -> np.ndarray:
     """Per-particle displacements eta * F(x_j) for one synchronous step.
 
-    With a single particle (or include_interaction=False) the update is
-    exactly the gradient term -eta * C * gamma**(2-d) * grads[j]; the
-    pairwise term of a lone particle vanishes identically because its
-    normalized loss is zero and the self-summand is excluded.
+    With a single particle the update is exactly the gradient term
+    -eta * C * gamma**(2-d) * grads[j]; the pairwise term of a lone
+    particle vanishes identically because its normalized loss is zero and
+    the self-summand is excluded.
 
-    Raises ValueError with a (particle pair, term) diagnostic if any
-    intermediate is non-finite.
+    Raises ValueError naming the first non-finite quantity, checked in
+    this order: the gradient coefficient, a particle's gradient term, a
+    particle pair's interaction term, a particle's summed displacement.
     """
     x = ensemble.particles
     n, d = x.shape
@@ -225,41 +226,22 @@ def flow_update(
     if evaluation.grads.shape != x.shape or evaluation.normalized_losses.shape != (n,):
         raise ValueError("loss evaluation does not match ensemble shape")
     coeff = config.eta * gradient_coefficient(d, config.gamma)
-    displacements = (-coeff) * evaluation.grads
-    if include_interaction and n > 1:
-        pair = _interaction_sum(x, evaluation.normalized_losses, config.gamma, d)
-        displacements = displacements + (-(config.eta * kernel_constant(d))) * pair
-    if not np.isfinite(displacements).all():
-        _raise_nonfinite(x, evaluation, config)
-    return displacements
-
-
-def _raise_nonfinite(x: np.ndarray, evaluation: LossEvaluation, config: FlowConfig) -> None:
-    """Locate and report the first non-finite term of a failed update."""
-    n, d = x.shape
-    coeff = config.eta * gradient_coefficient(d, config.gamma)
     if not math.isfinite(coeff):
         raise ValueError(
             f"gradient coefficient eta * C * gamma**(2-d) overflowed "
             f"(eta={config.eta}, gamma={config.gamma}, dim={d})"
         )
-    gterm = coeff * evaluation.grads
-    bad = np.flatnonzero(~np.isfinite(gterm).all(axis=1))
-    if bad.size:
-        raise ValueError(f"non-finite gradient term for particle {bad[0]}")
-    g2 = config.gamma * config.gamma
-    scale = config.eta * kernel_constant(d)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j in range(n):
-            diff = x - x[j]
-            den = (np.einsum("id,id->i", diff, diff) + g2) ** (0.5 * d)
-            w = scale * (d - 2.0) * evaluation.normalized_losses / den
-            w[j] = 0.0
-            term = w[:, None] * diff
-            bad = np.flatnonzero(~np.isfinite(term).all(axis=1))
-            if bad.size:
-                raise ValueError(f"non-finite interaction term for particle pair ({bad[0]}, {j})")
-    raise ValueError("non-finite displacement")
+    displacements = (-coeff) * evaluation.grads
+    if not np.isfinite(displacements).all():
+        k = np.argwhere(~np.isfinite(displacements))[0, 0]
+        raise ValueError(f"non-finite gradient term for particle {k}")
+    if n > 1:
+        pair = _interaction_sum(x, evaluation.normalized_losses, config.gamma, d)
+        displacements = displacements + (-(config.eta * kernel_constant(d))) * pair
+        if not np.isfinite(displacements).all():
+            j = np.argwhere(~np.isfinite(displacements))[0, 0]
+            raise ValueError(f"non-finite displacement for particle {j}")
+    return displacements
 
 
 def step(ensemble: Ensemble, loss_model, config: FlowConfig) -> Ensemble:

@@ -44,11 +44,14 @@ def canonicalize_rotation_vector(w: np.ndarray) -> np.ndarray:
     Reduces the angle modulo 2*pi into (-pi, pi] and rescales the vector,
     flipping its direction when the wrapped angle is negative. Half-turn
     rotations keep angle exactly pi (no shorter representative exists).
+    Raises ValueError when the norm is not finite.
     """
     w = np.asarray(w, dtype=np.float64)
     angle = float(np.linalg.norm(w))
     if angle < math.pi:
         return w.copy()
+    if not math.isfinite(angle):
+        raise ValueError(f"rotation-vector norm overflowed to {angle} (components {w.tolist()})")
     wrapped = math.fmod(angle + math.pi, 2.0 * math.pi) - math.pi
     if wrapped == -math.pi:
         wrapped = math.pi

@@ -356,7 +356,7 @@ def _flow_setup(n, d=10):
     gen = np.random.default_rng(0)
     ensemble = Ensemble(gen.standard_normal((n, d)))
     well = QuadraticWellLoss(np.zeros(d))
-    config = FlowConfig(dim=d, gamma=0.5, eta=1e-3, n_particles=n)
+    config = FlowConfig(dim=d, gamma=0.5, eta=1e-3)
     return ensemble, well, config
 
 

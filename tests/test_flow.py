@@ -205,6 +205,39 @@ def test_flow_update_nonfinite_diagnostic_names_particle_pair():
     config = FlowConfig(dim=3, gamma=1e-160, eta=1.0)
     with pytest.raises(ValueError, match=r"particle pair \(1, 0\)"):
         flow_update(Ensemble(x), evaluation, config)
+    # beyond the first interaction block: rows 37 and 41 coincide, every
+    # other pair is far apart, so (41, 37) is the first non-finite term
+    n = 45
+    x = np.zeros((n, 3))
+    x[:, 0] = 10.0 * np.arange(n)
+    x[41] = x[37]
+    losses = np.zeros(n)
+    losses[41] = 2.0
+    evaluation = evaluate_like(x, losses - losses.mean(), np.zeros((n, 3)))
+    with pytest.raises(ValueError, match=r"particle pair \(41, 37\)$"):
+        flow_update(Ensemble(x), evaluation, config)
+
+
+def test_flow_update_gradient_diagnostics_come_first():
+    # Coincident particles would also give a non-finite interaction term;
+    # the coefficient and then the gradient term are reported before it.
+    x = np.zeros((3, 3))
+    evaluation = evaluate_like(x, np.array([0.0, 2.0, 1.0]), [[0.0] * 3, [1e308] * 3, [0.0] * 3])
+    with pytest.raises(ValueError, match="gradient coefficient .* overflowed"):
+        flow_update(Ensemble(x), evaluation, FlowConfig(dim=3, gamma=1e-160, eta=1e200))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"gradient term for particle 1$"):
+        flow_update(Ensemble(x), evaluation, FlowConfig(dim=3, gamma=1e-160, eta=1.0))
+
+
+def test_flow_update_overflowing_sum_names_particle():
+    # Every summand is finite (about 1e308), but particle 0's two summands
+    # point the same way and their sum overflows.
+    a = 1e308
+    x = np.array([[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 100.0, 0.0]])
+    evaluation = evaluate_like(x, np.array([a, -a, a, -a]), np.zeros((4, 3)))
+    config = FlowConfig(dim=3, gamma=1e-3, eta=1.0)
+    with pytest.raises(ValueError, match=r"non-finite displacement for particle 0$"):
+        flow_update(Ensemble(x), evaluation, config)
 
 
 # --- step / run --------------------------------------------------------------

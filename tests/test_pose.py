@@ -58,6 +58,16 @@ def test_canonicalization_preserves_rotation_for_large_angles(angle):
     )
 
 
+def test_canonicalization_rejects_overflowed_norm():
+    # every component is finite, but their norm overflows to inf
+    w = np.array([1e200, -2e200, 3e200])
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="rotation-vector norm overflowed"):
+            canonicalize_rotation_vector(w)
+        with pytest.raises(ValueError, match="rotation-vector norm overflowed"):
+            pose_unpack(np.concatenate([np.zeros(3), w]))
+
+
 def test_rotation_matrices_are_orthonormal():
     gen = np.random.default_rng(5)
     for _ in range(25):
