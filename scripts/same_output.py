@@ -8,9 +8,15 @@ error-path sweeps (one writing `fit_error` rows, one writing `kl_error`
 and `run_failed` rows), once from a checkout of BASE_REV (`git archive`
 into a temporary directory) and once from the working tree. Each pair of
 CSVs is compared byte for byte; one line per file is printed, and the exit
-status is 1 if any pair differs or a run fails. Manifests are not
-compared: they hold timestamps.
+status is 1 if any pair differs or a run fails. A differing pair also gets
+its row counts, how many rows match on run, step and metric, the largest
+relative deviation of the ridge and value columns over the matched rows,
+and whether both hold the same run_failed rows (same run and step).
+Manifests are not compared: they hold timestamps.
 """
+import csv
+import io
+import math
 import os
 import shutil
 import subprocess
@@ -40,6 +46,46 @@ def commands() -> list[tuple[str, list[str]]]:
         experiment = cfg.stem.split("_")[0]  # synthetic_d10.cfg -> synthetic
         runs.append((cfg.stem, [experiment, "--config", str(cfg), "--seeds", "0,1"]))
     return runs + ERROR_PATHS
+
+
+# the columns that name one row: run, step and metric (ridge is data, not key)
+ROW_KEY = ("experiment", "method", "d", "n", "seed", "eta", "epsilon", "gamma", "step", "metric")
+
+
+def _explain(left: bytes, right: bytes) -> str:
+    """Why two result CSVs differ: how many rows each holds and how many
+    match on ROW_KEY, the largest relative deviation of ridge and value over
+    the matched rows, and whether their run_failed rows name the same runs
+    and steps."""
+    def parse(data: bytes) -> tuple[int, dict]:
+        rows = list(csv.DictReader(io.StringIO(data.decode())))
+        return len(rows), {tuple(row[k] for k in ROW_KEY): row for row in rows}
+
+    base_count, base_rows = parse(left)
+    work_count, work_rows = parse(right)
+    shared = base_rows.keys() & work_rows.keys()
+    deviation = 0.0
+    for key in shared:
+        for field in ("ridge", "value"):
+            a, b = base_rows[key][field], work_rows[key][field]
+            if a == b:
+                continue
+            try:
+                a, b = float(a), float(b)
+            except ValueError:  # one side empty (an error row)
+                a, b = math.inf, 0.0
+            gap = abs(a - b)
+            if gap != 0.0:  # nan if either side is nan
+                deviation = max(deviation, gap / max(abs(a), abs(b)) if math.isfinite(gap) else math.inf)
+    base_failed = {key for key in base_rows if key[-1] == "run_failed"}
+    work_failed = {key for key in work_rows if key[-1] == "run_failed"}
+    if base_failed == work_failed:
+        failed = f"same run_failed rows ({len(base_failed)})"
+    else:
+        failed = (f"run_failed rows DIFFER ({len(base_failed - work_failed)} only in base, "
+                  f"{len(work_failed - base_failed)} only in work)")
+    return (f"{base_count} base rows, {work_count} work rows, {len(shared)} matched; "
+            f"max relative deviation of ridge and value {deviation:.3g}; {failed}")
 
 
 def run_all(tree: Path, out_dir: Path) -> dict[str, str | None]:
@@ -80,7 +126,7 @@ def main(argv: list[str]) -> int:
             else:
                 left = (tmp / "out_base" / f"{name}.csv").read_bytes()
                 right = (tmp / "out_work" / f"{name}.csv").read_bytes()
-                verdict = "identical" if left == right else "DIFFERENT"
+                verdict = "identical" if left == right else f"DIFFERENT: {_explain(left, right)}"
             differ += verdict != "identical"
             print(f"{name}.csv: {verdict}")
         print(f"{len(commands()) - differ} of {len(commands())} CSVs identical to {base_rev}")

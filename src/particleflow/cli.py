@@ -91,6 +91,13 @@ def main(argv=None) -> int:
     try:
         file_values = parse_config_file(args.config) if args.config else {}
         config = make_config(args.command, file_values, _flag_overrides(args))
+        # resolve every (method, d) grid up front: one that no run can use
+        # (say, an overflowing automatic center) is a configuration error
+        for d in config.dims:
+            gamma = experiments.resolve_gamma(config, d)
+            for method in config.methods:
+                experiments.grid_values(experiments.grid_center(config, method, d, gamma),
+                                        config.grid.orders, config.grid.points_per_order)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     failures: list[str] = []  # why each run_failed row failed, in row order

@@ -56,7 +56,11 @@ def grid_values(center: float, orders: int, points_per_order: int) -> list[float
     """Log-uniform grid spanning exactly `orders` orders of magnitude around center."""
     count = orders * points_per_order + 1
     exponents = np.linspace(-orders / 2.0, orders / 2.0, count)
-    return [float(center * 10.0 ** e) for e in exponents]
+    with np.errstate(over="ignore"):  # an overflowing edge is rejected below
+        values = [float(center * 10.0 ** e) for e in exponents]
+    if not all(0.0 < v < math.inf for v in values):
+        raise ValueError(f"a grid of {orders} orders around {center!r} leaves the positive float range")
+    return values
 
 
 def resolve_gamma(config: ExperimentConfig, d: int) -> float:
@@ -87,7 +91,12 @@ def auto_grid_center(method: str, experiment: str, d: int, gamma: float, sigma_e
         return 0.1
     base = sigma_eff * sigma_eff / n_points if experiment == "pose" else 1.0
     if method == "flow":
-        return base / gradient_coefficient(d, gamma)
+        coefficient = gradient_coefficient(d, gamma)
+        center = base / coefficient if coefficient else math.inf
+        if not math.isfinite(center):
+            raise ValueError(f"gradient coefficient C * gamma**(2-d) = {coefficient!r} is too small "
+                             f"for an automatic eta grid center (gamma={gamma}, dim={d})")
+        return center
     return base
 
 

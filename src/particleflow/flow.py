@@ -19,18 +19,27 @@ synchronous: losses, the mean-loss normalizer, gradients, and all pairwise
 interactions are evaluated at the pre-step positions, and the result does
 not depend on the order in which particles are updated. There is no
 resampling and no randomness anywhere in this module.
+
+The pairwise term costs O(n^2 d) time and O(n d) memory. It is summed
+from exact differences x_i - x_j (no Gram-matrix expansion, which cancels
+badly for near-coincident particles), laid out coordinate-major so that
+each array operation runs along the particle axis, in blocks of rows sized
+by a fixed memory budget.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-# Particles per interaction block: temporaries stay at O(block * n * d)
-# so peak memory grows linearly with the ensemble for fixed dimension.
-_BLOCK = 32
+# Doubles of pair differences per interaction block (512 KB): blocks of
+# rows stay cache-sized, and peak memory grows linearly with the ensemble.
+_BUDGET = 1 << 16
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -136,12 +145,16 @@ def gradient_coefficient(dim: int, gamma: float) -> float:
 
     gamma**(2-d) grows explosively for small gamma in high dimension
     (gamma=0.1, d=10 already gives 1e8), so the product is formed from
-    logarithms. Overall magnitude is the caller's concern, via eta.
+    logarithms. Raises ValueError when it exceeds the largest float.
+    Overall magnitude is otherwise the caller's concern, via eta.
     """
     log_c = _log_kernel_constant(dim)
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    return math.exp(log_c + (2.0 - dim) * math.log(gamma))
+    exponent = log_c + (2.0 - dim) * math.log(gamma)
+    if exponent > _LOG_FLOAT_MAX:
+        raise ValueError(f"gradient coefficient C * gamma**(2-d) overflows (gamma={gamma}, dim={dim})")
+    return math.exp(exponent)
 
 
 def normalize_losses(losses) -> tuple[float, np.ndarray]:
@@ -179,28 +192,35 @@ def evaluate_losses(loss_model, ensemble: Ensemble) -> LossEvaluation:
 def _interaction_sum(x: np.ndarray, normalized_losses: np.ndarray, gamma: float, dim: int) -> np.ndarray:
     """sum_i (d-2) * Lt_i * (x_i - x_j) / (|x_j - x_i|^2 + gamma^2)**(d/2).
 
-    The i = j summand is excluded, hence exactly zero. Each particle's sum
-    accumulates over i in ascending index order (plain einsum reductions),
-    so the result is bit-stable for any split of the outer j blocks.
+    Works coordinate-major: x is transposed once to (d, n), and each block
+    of rows j forms the exact differences diff[k, b, i] = x_ik - x_jk, so
+    every numpy call runs along the long particle axis i rather than the
+    short coordinate axis. A block holds as many rows as fit in _BUDGET
+    doubles of differences, which keeps the temporaries in cache and at
+    O(n * d) memory. The i = j summand is excluded, hence exactly zero.
+    Each output entry is one einsum reduction over all i, whatever the
+    block, so the result is bit-stable for any split of the rows.
 
     Raises ValueError naming the first particle pair (i, j) whose summand
     is not finite. A sum that overflows from finite summands is returned
     as is.
     """
     n, d = x.shape
+    xt = np.ascontiguousarray(x.T)
     scaled = (dim - 2.0) * normalized_losses
     g2 = gamma * gamma
+    rows = max(1, min(n, _BUDGET // (d * n)))
     out = np.empty_like(x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for start in range(0, n, _BLOCK):
-            stop = min(start + _BLOCK, n)
-            diff = x[None, :, :] - x[start:stop, None, :]  # diff[b, i] = x_i - x_(start+b)
-            sq = np.einsum("bid,bid->bi", diff, diff)
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            diff = xt[:, None, :] - xt[:, start:stop, None]  # diff[k, b, i] = x_ik - x_(start+b)k
+            sq = np.einsum("kbi,kbi->bi", diff, diff)
             w = scaled / (sq + g2) ** (0.5 * dim)
             w[np.arange(stop - start), np.arange(start, stop)] = 0.0
-            out[start:stop] = np.einsum("bi,bid->bd", w, diff)
+            out[start:stop] = np.einsum("bi,kbi->bk", w, diff)
             if not np.isfinite(out[start:stop]).all():
-                bad = np.argwhere(~np.isfinite(w[:, :, None] * diff).all(axis=2))
+                bad = np.argwhere(~np.isfinite(w[None, :, :] * diff).all(axis=0))
                 if bad.size:
                     b, i = bad[0]
                     raise ValueError(f"non-finite interaction term for particle pair ({i}, {start + b})")

@@ -155,11 +155,15 @@ class PoseRegistrationLoss:
         return 1.0 / (sigma_eff * sigma_eff)
 
     def _residuals(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rotation matrices (n, 3, 3) and residuals resid[n, i, k] of
+        R(w_n) m_k + T_n - o_k, coordinate-major so that every reduction
+        runs along the K points."""
+        n = x.shape[0]
         # copy: from_rotvec needs a writable, contiguous buffer and x may be
         # a read-only ensemble view
-        rot = Rotation.from_rotvec(np.array(x[:, 3:], dtype=np.float64)).as_matrix()  # (n, 3, 3)
-        predicted = np.einsum("nij,kj->nki", rot, self.model_points) + x[:, None, :3]
-        return rot, predicted - self.observed_points[None, :, :]
+        rot = Rotation.from_rotvec(np.array(x[:, 3:], dtype=np.float64)).as_matrix()
+        rotated = (rot.reshape(3 * n, 3) @ self.model_points.T).reshape(n, 3, -1)  # one GEMM
+        return rot, rotated + x[:, :3, None] - self.observed_points.T
 
     def loss(self, step_index: int, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -167,7 +171,7 @@ class PoseRegistrationLoss:
         if single:
             x = x[None, :]
         _, resid = self._residuals(x)
-        values = 0.5 * self._scale * np.einsum("nki,nki->n", resid, resid)
+        values = 0.5 * self._scale * np.einsum("nik,nik->n", resid, resid)
         return float(values[0]) if single else values
 
     def grad(self, step_index: int, x: np.ndarray) -> np.ndarray:
@@ -175,12 +179,19 @@ class PoseRegistrationLoss:
         single = x.ndim == 1
         if single:
             x = x[None, :]
+        n = x.shape[0]
         rot, resid = self._residuals(x)
-        grad_t = self._scale * resid.sum(axis=1)
-        body = np.einsum("nji,nkj->nki", rot, resid)  # R^T residuals
-        torque = np.cross(self.model_points[None, :, :], body).sum(axis=1)
+        grad_t = self._scale * resid.sum(axis=2)
+        # torque = sum_k m_k x (R^T r_k) has components eps_abc M_bc with
+        # M = (sum_k m_k r_k^T) R: one GEMM over the K points, one 3x3
+        # product per particle, then the antisymmetric part of M
+        moments = (resid.reshape(3 * n, -1) @ self.model_points).reshape(n, 3, 3)  # (sum_k r_k m_k^T)
+        mixed = np.matmul(moments.transpose(0, 2, 1), rot)
+        torque = mixed[:, [1, 2, 0], [2, 0, 1]] - mixed[:, [2, 0, 1], [1, 2, 0]]
+        # J^T torque with J in matrix form: expanding it into nested cross
+        # products overflows for huge rotation vectors where this stays finite
         jac = _right_jacobian(x[:, 3:])
-        grad_w = self._scale * np.einsum("nji,nj->ni", jac, torque)
+        grad_w = self._scale * np.matmul(torque[:, None, :], jac)[:, 0]
         out = np.concatenate([grad_t, grad_w], axis=1)
         return out[0] if single else out
 

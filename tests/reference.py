@@ -42,6 +42,52 @@ def pair_summand(x_i, x_j, centered_loss_i, gamma, d):
     return -c * (d - 2) * centered_loss_i * (x_i - x_j) / (sq + gamma * gamma) ** (d / 2)
 
 
+def _cross(a, b):
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def _matvec(m, v):
+    return [sum(m[i][j] * v[j] for j in range(3)) for i in range(3)]
+
+
+def naive_pose_gradient(model_points, observed_points, sigma, pose):
+    """Gradient of 1/(2 sigma^2) sum_k |R(w) m_k + T - o_k|^2 at pose [T, w],
+    one point at a time: R from Rodrigues' formula, the right Jacobian
+    J = I - a [w]x + b [w]x^2 as an explicit 3x3 matrix, and
+    grad_w = J^T sum_k m_k x (R^T r_k)."""
+    scale = 1.0 / (sigma * sigma) if sigma > 0 else 1.0
+    t_vec = [float(v) for v in pose[:3]]
+    w = [float(v) for v in pose[3:]]
+    theta = math.sqrt(sum(v * v for v in w))
+    s = [[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]]
+    s2 = [[sum(s[i][k] * s[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    t2 = theta * theta
+    if theta < 1e-4:
+        sin_t = 1.0 - t2 / 6.0 + t2 * t2 / 120.0  # sin(t) / t
+        a = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
+        b = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
+    else:
+        sin_t = math.sin(theta) / theta
+        a = (1.0 - math.cos(theta)) / t2
+        b = (theta - math.sin(theta)) / (t2 * theta)
+    eye = [[1.0 if i == j else 0.0 for j in range(3)] for i in range(3)]
+    rot = [[eye[i][j] + sin_t * s[i][j] + a * s2[i][j] for j in range(3)] for i in range(3)]
+    jac = [[eye[i][j] - a * s[i][j] + b * s2[i][j] for j in range(3)] for i in range(3)]
+    rot_t = [[rot[j][i] for j in range(3)] for i in range(3)]
+    grad_t = [0.0, 0.0, 0.0]
+    torque = [0.0, 0.0, 0.0]
+    for m, o in zip(model_points, observed_points):
+        m = [float(v) for v in m]
+        rm = _matvec(rot, m)
+        r = [rm[i] + t_vec[i] - float(o[i]) for i in range(3)]
+        grad_t = [grad_t[i] + r[i] for i in range(3)]
+        c = _cross(m, _matvec(rot_t, r))
+        torque = [torque[i] + c[i] for i in range(3)]
+    jac_t = [[jac[j][i] for j in range(3)] for i in range(3)]
+    grad_w = _matvec(jac_t, torque)
+    return np.array([scale * v for v in grad_t + grad_w])
+
+
 def central_difference_gradient(loss_fn, x, rel=1e-5):
     """Coordinate-wise central differences with step rel * (1 + |x_k|)."""
     x = np.asarray(x, dtype=float)

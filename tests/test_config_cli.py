@@ -183,3 +183,38 @@ def test_cli_rejects_invalid_config_without_traceback(tmp_path):
     with pytest.raises(SystemExit, match="unknown key 'wibble'"):
         main(["pose", "--config", str(bad), "--out", str(tmp_path / "never.csv")])
     assert not (tmp_path / "never.csv").exists()
+
+
+@pytest.mark.parametrize("gamma, orders, what", [
+    ("1e-100", "1", "gradient coefficient C * gamma**(2-d) overflows (gamma=1e-100, dim=10)"),
+    # a coefficient of 0 and a subnormal one: 1 / coefficient is not finite
+    ("1e100", "1", "gradient coefficient C * gamma**(2-d) = 0.0 is too small for an automatic "
+                   "eta grid center (gamma=1e+100, dim=10)"),
+    ("3e38", "1", "is too small for an automatic eta grid center (gamma=3e+38, dim=10)"),
+    # a finite center (about 2e306) whose grid edge overflows
+    ("1e38", "10", "a grid of 10 orders around 2.04"),
+])
+def test_cli_unusable_eta_grid_exits_with_one_line(tmp_path, gamma, orders, what):
+    # the automatic eta grid center divides by C * gamma**(2-d)
+    with pytest.raises(SystemExit) as exc_info:
+        main(["synthetic", "--dims", "10", "--n-particles", "4", "--n-steps", "2", "--seeds", "0",
+              "--gamma", gamma, "--grid-orders", orders, "--out", str(tmp_path / "never.csv")])
+    message = str(exc_info.value.code)
+    assert what in message and "\n" not in message
+    assert not (tmp_path / "never.csv").exists()
+
+
+def test_cli_gradient_coefficient_overflow_fails_flow_runs(tmp_path):
+    # with an explicit grid center every flow run fails at its first step
+    out = tmp_path / "runs.csv"
+    main(["synthetic", "--dims", "10", "--n-particles", "4", "--n-steps", "2", "--seeds", "0",
+          "--gamma", "1e-100", "--grid-orders", "1", "--grid-center", "1.0",
+          "--method", "flow", "--out", str(out)])
+    records = [dict(zip(HEADER, line.split(","))) for line in out.read_text().splitlines()[1:]]
+    failed = [r for r in records if r["metric"] == "run_failed"]
+    assert len(failed) == 3 and all(r["step"] == "1" for r in failed)
+    manifest = (tmp_path / "runs.csv.manifest.txt").read_text().splitlines()
+    reasons = [line for line in manifest if line.startswith("run_failed.")]
+    assert len(reasons) == 3
+    assert all(line.endswith("step 0: gradient coefficient C * gamma**(2-d) overflows "
+                             "(gamma=1e-100, dim=10)") for line in reasons)

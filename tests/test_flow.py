@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from particleflow import flow
 from particleflow.flow import (
     Ensemble,
     FlowConfig,
@@ -66,6 +67,12 @@ def test_gradient_coefficient_matches_direct_product():
     for d, gamma in [(3, 0.5), (5, 1.0), (10, 0.1), (50, 2.0)]:
         direct = kernel_constant(d) * gamma ** (2 - d)
         assert gradient_coefficient(d, gamma) == pytest.approx(direct, rel=1e-12)
+
+
+def test_gradient_coefficient_overflow_is_a_value_error():
+    assert math.isfinite(gradient_coefficient(3, 1e-300))  # C * 1e300
+    with pytest.raises(ValueError, match=r"overflows \(gamma=1e-100, dim=10\)$"):
+        gradient_coefficient(10, 1e-100)
 
 
 # --- loss normalization ------------------------------------------------------
@@ -181,6 +188,53 @@ def test_flow_update_matches_naive_double_loop(n):
     np.testing.assert_allclose(disp, oracle, rtol=1e-12, atol=1e-15)
 
 
+def _adversarial_cloud(case):
+    """(particles, losses, gamma) of one hard input for the interaction kernel."""
+    gen = np.random.default_rng(sum(map(ord, case)))
+    n, d, gamma, spread = {
+        "offset_1e6": (20, 10, 0.5, 1.0),
+        "coincident": (12, 5, 0.3, 0.5),
+        "d3": (30, 3, 0.7, 1.0),
+        "d50": (15, 50, 1.0, 0.1),
+        "tiny_gamma": (16, 10, 1e-3, 1e-3),
+    }[case]
+    x = spread * gen.standard_normal((n, d))
+    if case == "offset_1e6":
+        x += 1e6
+    if case == "coincident":
+        x[7] = x[2]
+    return x, gen.standard_normal(n), gamma
+
+
+@pytest.mark.parametrize("case", ["offset_1e6", "coincident", "d3", "d50", "tiny_gamma"])
+def test_interaction_kernel_matches_naive_double_loop_on_adversarial_clouds(case):
+    # zero gradients leave the interaction term alone; eta rescales the
+    # oracle's largest displacement to 1 so the absolute tolerance does not
+    # swallow the tiny kernel values of d=50
+    x, losses, gamma = _adversarial_cloud(case)
+    n, d = x.shape
+    grads = np.zeros((n, d))
+    unit = naive_flow_displacements(x, list(losses), grads.tolist(), gamma, 1.0)
+    eta = 1.0 / np.abs(unit).max()
+    oracle = naive_flow_displacements(x, list(losses), grads.tolist(), gamma, eta)
+    evaluation = evaluate_like(x, losses, grads)
+    disp = flow_update(Ensemble(x), evaluation, FlowConfig(dim=d, gamma=gamma, eta=eta))
+    np.testing.assert_allclose(disp, oracle, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("case", ["offset_1e6", "coincident", "d50"])
+def test_interaction_kernel_is_bit_stable_for_any_block_split(case, monkeypatch):
+    x, losses, gamma = _adversarial_cloud(case)
+    n, d = x.shape
+    evaluation = evaluate_like(x, losses, np.zeros((n, d)))
+    config = FlowConfig(dim=d, gamma=gamma, eta=1.0)
+    outputs = []
+    for rows in (1, 7, n):
+        monkeypatch.setattr(flow, "_BUDGET", rows * d * n)
+        outputs.append(flow_update(Ensemble(x), evaluation, config))
+    assert all(np.array_equal(outputs[0], out) for out in outputs[1:])
+
+
 def test_flow_update_self_term_is_exactly_zero():
     # A lone far-away particle with zero gradient must not move at all,
     # whatever its own centered loss would contribute through i = j.
@@ -197,7 +251,7 @@ def test_flow_update_dimension_mismatch_rejected():
         flow_update(Ensemble(x), evaluation, FlowConfig(dim=3, gamma=1.0, eta=1.0))
 
 
-def test_flow_update_nonfinite_diagnostic_names_particle_pair():
+def test_flow_update_nonfinite_diagnostic_names_particle_pair(monkeypatch):
     # Coincident particles with an underflowing kernel denominator produce
     # an inf * 0 interaction; the error must name the offending pair.
     x = np.zeros((2, 3))
@@ -205,8 +259,8 @@ def test_flow_update_nonfinite_diagnostic_names_particle_pair():
     config = FlowConfig(dim=3, gamma=1e-160, eta=1.0)
     with pytest.raises(ValueError, match=r"particle pair \(1, 0\)"):
         flow_update(Ensemble(x), evaluation, config)
-    # beyond the first interaction block: rows 37 and 41 coincide, every
-    # other pair is far apart, so (41, 37) is the first non-finite term
+    # rows 37 and 41 coincide, every other pair is far apart, so (41, 37)
+    # is the first non-finite term, also when row 37 lies in a later block
     n = 45
     x = np.zeros((n, 3))
     x[:, 0] = 10.0 * np.arange(n)
@@ -214,8 +268,10 @@ def test_flow_update_nonfinite_diagnostic_names_particle_pair():
     losses = np.zeros(n)
     losses[41] = 2.0
     evaluation = evaluate_like(x, losses - losses.mean(), np.zeros((n, 3)))
-    with pytest.raises(ValueError, match=r"particle pair \(41, 37\)$"):
-        flow_update(Ensemble(x), evaluation, config)
+    for rows in (1, 10, n):
+        monkeypatch.setattr(flow, "_BUDGET", rows * 3 * n)
+        with pytest.raises(ValueError, match=r"particle pair \(41, 37\)$"):
+            flow_update(Ensemble(x), evaluation, config)
 
 
 def test_flow_update_gradient_diagnostics_come_first():

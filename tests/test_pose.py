@@ -13,7 +13,7 @@ from particleflow.pose import (
     pose_unpack,
 )
 
-from reference import central_difference_gradient, relative_gradient_error
+from reference import central_difference_gradient, naive_pose_gradient, relative_gradient_error
 
 
 def test_zero_vector_is_identity_pose():
@@ -140,6 +140,32 @@ def test_registration_gradient_near_zero_rotation():
     x = np.concatenate([np.array([0.1, -0.2, 0.3]), np.full(3, 1e-7)])
     numeric = central_difference_gradient(lambda p: problem.loss(0, p), x)
     assert relative_gradient_error(problem.grad(0, x), numeric) < 1e-5
+
+
+@pytest.mark.parametrize("angle", [0.0, 3e-5, 0.9e-4, 1.3, math.pi - 1e-9, 2.5 * math.pi, 40.0])
+def test_registration_gradient_matches_naive_point_loop(angle):
+    # angles below 1e-4 take the series branch of the right Jacobian
+    problem = make_pose_problem(12, sigma=0.05, seed=21)
+    gen = np.random.default_rng(int(angle * 1000))
+    batch = []
+    for _ in range(6):
+        axis = gen.standard_normal(3)
+        batch.append(np.concatenate([gen.uniform(-1, 1, 3), axis / np.linalg.norm(axis) * angle]))
+    grads = problem.grad(0, np.array(batch))
+    for x, grad in zip(batch, grads):
+        oracle = naive_pose_gradient(problem.model_points, problem.observed_points, problem.sigma, x)
+        np.testing.assert_allclose(grad, oracle, rtol=1e-12)
+
+
+def test_registration_gradient_stays_finite_for_huge_rotation_vectors():
+    # |w|^2 |J^T torque| passes 1e308 here: writing J^T v as nested cross
+    # products w x (w x v) overflows to inf * 0 = NaN, the matrix form of J
+    # stays finite
+    problem = make_pose_problem(12, sigma=0.005, seed=0)
+    x = np.array([1e9, -2e9, 5e8, 6e149, -8e149, 3e149])
+    with np.errstate(over="ignore"):
+        grad = problem.grad(0, x)
+    assert np.isfinite(grad).all()
 
 
 def test_loss_invariant_under_consistent_point_reindexing():
