@@ -3,15 +3,16 @@
 
     python3 scripts/same_output.py BASE_REV
 
-Runs every `configs/*.cfg` protocol with `--seeds 0,1`, plus two
-error-path sweeps (one writing `fit_error` rows, one writing `kl_error`
-and `run_failed` rows), once from a checkout of BASE_REV (`git archive`
-into a temporary directory) and once from the working tree. Each pair of
-CSVs is compared byte for byte; one line per file is printed, and the exit
-status is 1 if any pair differs or a run fails. A differing pair also gets
-its row counts, how many rows match on run, step and metric, the largest
-relative deviation of the ridge and value columns over the matched rows,
-and whether both hold the same run_failed rows (same run and step).
+Runs every `configs/*.cfg` protocol with `--seeds 0,1`, plus three
+error-path sweeps (one of single-particle `fit_error` rows, and one each
+of diverging synthetic and pose runs), once from a checkout of BASE_REV
+(`git archive` into a temporary directory) and once from the working
+tree. Each pair of CSVs is compared byte for byte; one line per file is
+printed, and the exit status is 1 if any pair differs or a run fails. A
+differing pair also gets its row counts, how many rows match on run, step
+and metric, the largest relative deviation of the ridge and value columns
+over the matched rows, and whether both hold the same run_failed rows
+(same run and step).
 Manifests are not compared: they hold timestamps.
 """
 import csv
@@ -32,10 +33,16 @@ ERROR_PATHS = [
     ("fit_error", ["synthetic", "--dims", "4,10", "--n-particles", "1,12", "--n-steps", "6",
                    "--seeds", "0,1", "--method", "flow,mcl,gd", "--grid-orders", "14",
                    "--grid-points-per-order", "1"]),
-    # grid edges that diverge: 124 kl_error and 14 run_failed rows
-    ("kl_error", ["synthetic", "--dims", "4", "--n-particles", "12", "--n-steps", "20",
-                  "--seeds", "0,1", "--method", "flow,mcl,gd", "--grid-orders", "30",
-                  "--grid-points-per-order", "1"]),
+    # synthetic grid edges that diverge: 14 run_failed rows, and 124 fits whose
+    # covariance overflowed (fit_error rows; kl_error rows before non-finite
+    # Gaussians were rejected at construction)
+    ("synthetic_failure", ["synthetic", "--dims", "4", "--n-particles", "12", "--n-steps", "20",
+                           "--seeds", "0,1", "--method", "flow,mcl,gd", "--grid-orders", "30",
+                           "--grid-points-per-order", "1"]),
+    # pose grid edges that diverge: 28 run_failed rows, some of them at a mean
+    # pose whose rotation vector overflowed
+    ("pose_failure", ["pose", "--n-particles", "20", "--n-steps", "30", "--seeds", "0,1",
+                      "--grid-orders", "24", "--grid-points-per-order", "1"]),
 ]
 
 

@@ -135,9 +135,11 @@ def _sweep(config: ExperimentConfig, d: int, n: int, gamma: float, instances: di
     instances maps seed -> (problem, init, measure), where measure(step,
     particles) returns (ridge, metric, value, status) tuples. Each
     (method, grid point, seed) run emits its measured rows per step, or a
-    run_failed row at the step that raised. The best grid point per method
-    minimizes the mean final-step `selection` metric across seeds; a grid
-    point counts only if that metric is ok at the last step for every seed.
+    run_failed row at the step that raised: the step being measured when
+    measure raised, the step being made when stepping raised. The best
+    grid point per method minimizes the mean final-step `selection` metric
+    across seeds; a grid point counts only if that metric is ok at the last
+    step for every seed.
     Unless failures is None, one line per run_failed row, in row order,
     says which run failed at which step and why.
     """
@@ -157,18 +159,20 @@ def _sweep(config: ExperimentConfig, d: int, n: int, gamma: float, instances: di
                     # the sweep output
                     with np.errstate(all="ignore"):
                         for step, particles in _trajectory(method, value, problem, init, gamma, seed, T):
+                            failed_step = step  # a failing measure names the step it measured
                             measured = measure(step, particles)
                             rows.extend(_row(experiment, method, d, n, seed, eta, epsilon, gamma_col,
                                              ridge, step, metric, v, status)
                                         for ridge, metric, v, status in measured)
+                            failed_step = step + 1  # a failing stepping call names the step it made
                 except ValueError as exc:
                     rows.append(_row(experiment, method, d, n, seed, eta, epsilon, gamma_col,
-                                     None, step + 1, "run_failed", None, "error"))
+                                     None, failed_step, "run_failed", None, "error"))
                     if failures is not None:
                         swept = "epsilon" if method == "mcl" else "eta"
                         reason = str(exc).replace("\n", " ")
                         failures.append(f"{method} d={d} n={n} seed={seed} {swept}={_fmt(value)} "
-                                        f"step={step + 1}: {reason}")
+                                        f"step={failed_step}: {reason}")
                     finals.append(None)
                 else:
                     finals.append(next((v for _, metric, v, _ in measured if metric == selection), None))

@@ -1,15 +1,13 @@
 """Evaluation metrics: Gaussian fits, closed-form KL, exact Wasserstein, pose errors."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
-from scipy.spatial.transform import Rotation
 
 from .pose import PoseState
 
@@ -21,7 +19,8 @@ class GaussianSummary:
     `ridge` records the diagonal regularization applied by `fit_gaussian`
     (None for analytic summaries); it is logged per run because it affects
     downstream KL values. Mean and covariance are read-only copies, so the
-    Cholesky factor cached on first use cannot go stale.
+    Cholesky factor cached on first use cannot go stale. Construction
+    raises ValueError on non-finite or asymmetric input.
     """
 
     mean: np.ndarray
@@ -36,6 +35,8 @@ class GaussianSummary:
         d = mean.shape[0]
         if cov.shape != (d, d):
             raise ValueError(f"covariance must be ({d}, {d}), got {cov.shape}")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean and covariance must not contain infs or NaNs")
         asym = float(np.abs(cov - cov.T).max(initial=0.0))
         scale = max(1.0, float(np.abs(cov).max(initial=0.0)))
         if asym > 1e-12 * scale:
@@ -181,6 +182,11 @@ def wasserstein_exact(
         raise ValueError(
             f"point sets must have equal size, got {xa.shape[0]} and {xb.shape[0]}"
         )
+    # imported here: only the theorem protocol needs them, and at module level
+    # scipy.optimize would load at the start-up of every CLI call
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     cost = cdist(xa, xb, metric=metric)
     if not np.isfinite(cost).all():
         raise ValueError("metric produced non-finite pairwise costs")
@@ -188,23 +194,41 @@ def wasserstein_exact(
     return AssignmentResult(permutation=cols.copy(), total_cost=float(cost[rows, cols].sum()))
 
 
+def _quaternion(rotvec: np.ndarray) -> tuple[float, float, float, float]:
+    """Unit quaternion (w, x, y, z) of a rotation vector."""
+    x, y, z = rotvec.tolist()
+    angle = math.hypot(x, y, z)
+    # sin(angle / 2) / angle, by its series where the quotient loses digits
+    scale = 0.5 - angle * angle / 48.0 if angle < 1e-4 else math.sin(0.5 * angle) / angle
+    return math.cos(0.5 * angle), scale * x, scale * y, scale * z
+
+
 def pose_errors(estimate: PoseState, truth: PoseState) -> tuple[float, float]:
     """Translation error in centimeters and signed geodesic rotation error in degrees.
 
-    The unsigned angle comes from the relative rotation R_true^T R_est via
-    theta = arccos((tr - 1) / 2); its sign is that of the projection of the
-    relative rotation axis onto the ground-truth rotation axis (positive
-    when the ground truth does not rotate, or when the estimate matches
-    exactly).
+    The relative rotation R_true^T R_est is the quaternion
+    q = conj(q_true) * q_est = (w, v), and its angle is
+    theta = 2 atan2(|v|, |w|). After q is flipped to w >= 0, the sign of
+    the error is that of v projected onto the ground-truth rotation vector
+    (positive when the ground truth does not rotate, or when the estimate
+    matches exactly).
     """
     translation_cm = 100.0 * float(np.linalg.norm(estimate.translation - truth.translation))
-    relative = truth.rotation_matrix().T @ estimate.rotation_matrix()
-    rotvec = Rotation.from_matrix(relative).as_rotvec()
-    angle = float(np.linalg.norm(rotvec))
-    if angle == 0.0:
+    a, ux, uy, uz = _quaternion(truth.rotation)
+    b, vx, vy, vz = _quaternion(estimate.rotation)
+    # (a, -u) * (b, v) = (ab + u.v, a v - b u - u x v)
+    w = a * b + ux * vx + uy * vy + uz * vz
+    x = a * vx - b * ux - (uy * vz - uz * vy)
+    y = a * vy - b * uy - (uz * vx - ux * vz)
+    z = a * vz - b * uz - (ux * vy - uy * vx)
+    half_sine = math.hypot(x, y, z)
+    if half_sine == 0.0:
         return translation_cm, 0.0
-    sign = 1.0
-    truth_norm = float(np.linalg.norm(truth.rotation))
-    if truth_norm > 0.0 and float(rotvec @ truth.rotation) < 0.0:
-        sign = -1.0
-    return translation_cm, sign * float(np.degrees(angle))
+    degrees = math.degrees(2.0 * math.atan2(half_sine, abs(w)))
+    tx, ty, tz = truth.rotation.tolist()
+    projection = x * tx + y * ty + z * tz
+    if w < 0.0:  # flipping q to w >= 0 reverses v
+        projection = -projection
+    if projection < 0.0:
+        degrees = -degrees
+    return translation_cm, degrees

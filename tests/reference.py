@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+from scipy.spatial.transform import Rotation
 
 
 def naive_flow_displacements(particles, losses, grads, gamma, eta):
@@ -170,3 +171,27 @@ def random_spd_pair(gen, d, min_eig=0.5, max_eig=2.0, mean_offset=1.5):
     direction /= np.linalg.norm(direction)
     mean_q = mean_p + mean_offset * direction
     return (mean_p, spd()), (mean_q, spd())
+
+
+def matrix_pose_errors(estimate, truth):
+    """Translation error in centimeters and signed geodesic rotation error in degrees,
+    through scipy rotation matrices (an oracle for the closed-form
+    `metrics.pose_errors`).
+
+    The unsigned angle comes from the relative rotation R_true^T R_est via
+    theta = arccos((tr - 1) / 2); its sign is that of the projection of the
+    relative rotation axis onto the ground-truth rotation axis (positive
+    when the ground truth does not rotate, or when the estimate matches
+    exactly).
+    """
+    translation_cm = 100.0 * float(np.linalg.norm(estimate.translation - truth.translation))
+    relative = truth.rotation_matrix().T @ estimate.rotation_matrix()
+    rotvec = Rotation.from_matrix(relative).as_rotvec()
+    angle = float(np.linalg.norm(rotvec))
+    if angle == 0.0:
+        return translation_cm, 0.0
+    sign = 1.0
+    truth_norm = float(np.linalg.norm(truth.rotation))
+    if truth_norm > 0.0 and float(rotvec @ truth.rotation) < 0.0:
+        sign = -1.0
+    return translation_cm, sign * float(np.degrees(angle))

@@ -5,6 +5,7 @@ from particleflow.config import make_config
 from particleflow.experiments import (
     HEADER,
     SELECTION_METRIC,
+    _sweep,
     auto_grid_center,
     grid_values,
     resolve_gamma,
@@ -84,6 +85,46 @@ def test_diverging_grid_points_recorded_but_sweep_continues():
     rows = records(run_synthetic(cfg))
     assert any(r["status"] == "error" and r["metric"] == "run_failed" for r in rows)
     assert any(r["status"] == "ok" for r in rows)
+
+
+class _NanGradientBowl:
+    """Loss |x|^2 / 2 whose gradient is NaN from step index `nan_from` on."""
+
+    def __init__(self, nan_from):
+        self.nan_from = nan_from
+
+    def loss(self, step_index, x):
+        return 0.5 * np.sum(x * x, axis=1)
+
+    def grad(self, step_index, x):
+        return x * (np.nan if step_index >= self.nan_from else 1.0)
+
+
+@pytest.mark.parametrize("failing", ["measure", "stepping"])
+def test_sweep_run_failed_row_names_the_failing_step(failing):
+    k = 3
+    cfg = make_config("synthetic", overrides={
+        "n_steps": 6, "seeds": (0,), "methods": ("gd",), "grid_center": 0.1,
+        "grid_orders": 1, "grid_points_per_order": 1,
+    })
+
+    def measure(step, particles):
+        if failing == "measure" and step == k:
+            raise ValueError("measurement failed")
+        return [(None, "loss", float(np.sum(particles * particles)), "ok")]
+
+    # a failing measure names the step it measured; a failing stepping
+    # call names the step it was making
+    problem = _NanGradientBowl(k if failing == "stepping" else np.inf)
+    expected = k if failing == "measure" else k + 1
+    init = np.random.default_rng(0).standard_normal((4, 2))
+    failures = []
+    rows = records(_sweep(cfg, 2, 4, 0.5, {0: (problem, init, measure)}, "loss", failures))
+    failed = [r for r in rows if r["metric"] == "run_failed"]
+    assert [int(r["step"]) for r in failed] == [expected, expected]  # one per grid point
+    assert all(f" step={expected}: " in line for line in failures) and len(failures) == 2
+    measured = sorted({int(r["step"]) for r in rows if r["metric"] == "loss"})
+    assert measured == list(range(k + (failing == "stepping")))
 
 
 def test_header_exact():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from particleflow.metrics import (
     AssignmentResult,
@@ -14,9 +15,15 @@ from particleflow.metrics import (
     pose_errors,
     wasserstein_exact,
 )
-from particleflow.pose import PoseState
+from particleflow.pose import PoseState, random_rotation_vectors
 
-from reference import brute_force_assignment, fresh_factor_kl, monte_carlo_kl, random_spd_pair
+from reference import (
+    brute_force_assignment,
+    fresh_factor_kl,
+    matrix_pose_errors,
+    monte_carlo_kl,
+    random_spd_pair,
+)
 
 
 def spd(gen, d, lo=0.5, hi=2.0):
@@ -157,13 +164,15 @@ def test_kl_rejects_non_finite_input(bad):
         cov[1, 1] = np.inf
     else:
         mean[2] = np.nan
-    with np.errstate(invalid="ignore"):  # inf - inf in the symmetry check
-        broken = GaussianSummary(mean, cov)
-    good = GaussianSummary(np.ones(3), np.eye(3))
-    with pytest.raises(ValueError):
-        kl_gaussians(broken, good)
-    with pytest.raises(ValueError):
-        kl_gaussians(good, broken)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        GaussianSummary(mean, cov)
+
+
+def test_kl_rejects_overflowing_mean_difference():
+    far = GaussianSummary(np.full(3, 1e308), np.eye(3))
+    opposite = GaussianSummary(np.full(3, -1e308), np.eye(3))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="mean difference"):
+        kl_gaussians(far, opposite)
 
 
 def test_gaussian_summary_holds_read_only_copies():
@@ -275,3 +284,77 @@ def test_pose_errors_signed_ninety_degrees():
     behind = PoseState(np.zeros(3), axis * (0.5 - math.pi / 2))
     assert pose_errors(ahead, truth)[1] == pytest.approx(90.0, rel=1e-10)
     assert pose_errors(behind, truth)[1] == pytest.approx(-90.0, rel=1e-10)
+
+
+def test_pose_errors_match_matrix_route_on_random_poses():
+    gen = np.random.default_rng(7)
+    for trial in range(300):
+        truth = PoseState(gen.standard_normal(3), random_rotation_vectors(gen, 1)[0])
+        # every third estimate is a non-minimal representative (angle > pi)
+        rotation = random_rotation_vectors(gen, 1)[0]
+        if trial % 3 == 0:
+            rotation = rotation * (1.0 + 2.0 * math.pi / np.linalg.norm(rotation))
+        estimate = PoseState(gen.standard_normal(3), rotation)
+        expected = matrix_pose_errors(estimate, truth)
+        assert pose_errors(estimate, truth) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("case", ["zero_rotation_truth", "small_rotations", "near_half_turn",
+                                  "far_translation"])
+def test_pose_errors_match_matrix_route_on_edge_poses(case):
+    gen = np.random.default_rng(8)
+    for _ in range(50):
+        axis = gen.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        truth = PoseState(gen.standard_normal(3), random_rotation_vectors(gen, 1)[0])
+        estimate = PoseState(gen.standard_normal(3), random_rotation_vectors(gen, 1)[0])
+        if case == "zero_rotation_truth":
+            truth = PoseState(truth.translation, np.zeros(3))
+        elif case == "small_rotations":
+            # both rotation vectors below the 1e-4 switch to the series
+            truth = PoseState(truth.translation, gen.uniform(1e-6, 5e-5) * axis)
+            other = gen.standard_normal(3)
+            other *= gen.uniform(1e-6, 5e-5) / np.linalg.norm(other)
+            estimate = PoseState(estimate.translation, other)
+        elif case == "near_half_turn":
+            # a relative rotation less than 1e-9 degrees short of a half turn
+            angle = math.pi - math.radians(gen.uniform(0.0, 1e-9))
+            relative = Rotation.from_rotvec(angle * axis)
+            rotation = (Rotation.from_rotvec(truth.rotation) * relative).as_rotvec()
+            estimate = PoseState(estimate.translation, rotation)
+        else:
+            estimate = PoseState(estimate.translation + 1e6 * axis, estimate.rotation)
+        trans_cm, rot_deg = pose_errors(estimate, truth)
+        expected_cm, expected_deg = matrix_pose_errors(estimate, truth)
+        assert trans_cm == pytest.approx(expected_cm, rel=1e-10)
+        assert rot_deg == pytest.approx(expected_deg, rel=1e-10)
+        if case == "zero_rotation_truth":
+            assert rot_deg > 0.0
+        elif case == "near_half_turn":
+            assert abs(rot_deg) > 180.0 - 2e-9
+
+
+@pytest.mark.parametrize("degrees", [1e-7, 1e-5, 1e-3, 1e-1])
+def test_pose_errors_tiny_angles_about_the_truth_axis(degrees):
+    # an estimate turned by a known angle about the truth's own axis; the
+    # rounding of the two rotation vectors bounds the error in absolute terms
+    gen = np.random.default_rng(9)
+    for _ in range(20):
+        axis = gen.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        angle = gen.uniform(0.1, 3.0)
+        truth = PoseState(np.zeros(3), angle * axis)
+        ahead = PoseState(np.zeros(3), (angle + math.radians(degrees)) * axis)
+        behind = PoseState(np.zeros(3), (angle - math.radians(degrees)) * axis)
+        assert pose_errors(ahead, truth)[1] == pytest.approx(degrees, rel=1e-10, abs=1e-12)
+        assert pose_errors(behind, truth)[1] == pytest.approx(-degrees, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("angle", [1e-8, 9e-5, 1.1e-4, 0.3, 1.5])
+def test_pose_errors_of_the_inverse_rotation_are_exact(angle):
+    # R(-w) relative to R(w) turns by exactly 2|w| back about w's axis,
+    # on either side of the series switch at |w| = 1e-4
+    axis = np.array([2.0, -3.0, 6.0]) / 7.0
+    truth = PoseState(np.zeros(3), angle * axis)
+    inverse = PoseState(np.zeros(3), -angle * axis)
+    assert pose_errors(inverse, truth)[1] == pytest.approx(-math.degrees(2.0 * angle), rel=1e-13)
