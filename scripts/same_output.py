@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that the working tree writes the same CSVs as another revision.
+"""Check that the working tree writes the same CSVs and manifests as another revision.
 
     python3 scripts/same_output.py BASE_REV
 
@@ -7,13 +7,15 @@ Runs every `configs/*.cfg` protocol with `--seeds 0,1`, plus three
 error-path sweeps (one of single-particle `fit_error` rows, and one each
 of diverging synthetic and pose runs), once from a checkout of BASE_REV
 (`git archive` into a temporary directory) and once from the working
-tree. Each pair of CSVs is compared byte for byte; one line per file is
-printed, and the exit status is 1 if any pair differs or a run fails. A
-differing pair also gets its row counts, how many rows match on run, step
-and metric, the largest relative deviation of the ridge and value columns
-over the matched rows, and whether both hold the same run_failed rows
-(same run and step).
-Manifests are not compared: they hold timestamps.
+tree. Each pair of CSVs is compared byte for byte, and each pair of
+manifests line for line without its `#` header lines (timestamp and
+elapsed time) and its `out=` line (the two trees write to different
+paths). One line per file is printed, and the exit status is 1 if any
+pair differs or a run fails. A differing CSV pair also gets its row
+counts, how many rows match on run, step and metric, the largest
+relative deviation of the ridge and value columns over the matched rows,
+and whether both hold the same run_failed rows (same run and step). A
+differing manifest pair gets its first differing line.
 """
 import csv
 import io
@@ -23,6 +25,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -95,6 +98,21 @@ def _explain(left: bytes, right: bytes) -> str:
             f"max relative deviation of ridge and value {deviation:.3g}; {failed}")
 
 
+def _manifest_lines(path: Path) -> list[str]:
+    """A manifest's lines without the `#` header lines and the `out=` line."""
+    return [line for line in path.read_text(encoding="utf-8").splitlines()
+            if not line.startswith("#") and not line.startswith("out=")]
+
+
+def _compare_manifests(left: Path, right: Path) -> str:
+    """'identical', or the first line at which two manifests differ."""
+    pairs = zip_longest(_manifest_lines(left), _manifest_lines(right), fillvalue="<end of manifest>")
+    for k, (a, b) in enumerate(pairs, start=1):
+        if a != b:
+            return f"DIFFERENT at line {k}: base {a!r}, work {b!r}"
+    return "identical"
+
+
 def run_all(tree: Path, out_dir: Path) -> dict[str, str | None]:
     """Run every command with tree/src first on the path; name -> error or None."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
@@ -126,18 +144,24 @@ def main(argv: list[str]) -> int:
         subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
         base_errors = run_all(base, tmp / "out_base")
         work_errors = run_all(REPO, tmp / "out_work")
-        differ = 0
+        differ = manifests_differ = 0
         for name, _ in commands():
             if base_errors[name] or work_errors[name]:
-                verdict = f"run failed (base: {base_errors[name]}; work: {work_errors[name]})"
+                verdict = manifest = f"run failed (base: {base_errors[name]}; work: {work_errors[name]})"
             else:
                 left = (tmp / "out_base" / f"{name}.csv").read_bytes()
                 right = (tmp / "out_work" / f"{name}.csv").read_bytes()
                 verdict = "identical" if left == right else f"DIFFERENT: {_explain(left, right)}"
+                manifest = _compare_manifests(tmp / "out_base" / f"{name}.csv.manifest.txt",
+                                              tmp / "out_work" / f"{name}.csv.manifest.txt")
             differ += verdict != "identical"
+            manifests_differ += manifest != "identical"
             print(f"{name}.csv: {verdict}")
-        print(f"{len(commands()) - differ} of {len(commands())} CSVs identical to {base_rev}")
-        return 1 if differ else 0
+            print(f"{name}.csv.manifest.txt: {manifest}")
+        total = len(commands())
+        print(f"{total - differ} of {total} CSVs and {total - manifests_differ} of {total} "
+              f"manifests identical to {base_rev}")
+        return 1 if differ or manifests_differ else 0
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 

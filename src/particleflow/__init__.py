@@ -22,7 +22,6 @@ from .flow import (
     gradient_coefficient,
     kernel_constant,
     normalize_losses,
-    run,
     step,
 )
 from .metrics import (
@@ -44,7 +43,6 @@ __all__ = [
     "gradient_coefficient",
     "kernel_constant",
     "normalize_losses",
-    "run",
     "step",
     "AssignmentResult",
     "GaussianSummary",

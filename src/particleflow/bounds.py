@@ -7,8 +7,9 @@ the assignment-form Wasserstein distance obeys
 
     W(t) <= (W(0) + eps / L_F) * exp(L_d * L_F * t) - eps / L_F.
 
-`perturbed_flow_check` integrates both sets with Euler steps and compares
-the measured distance against the bound at many checkpoints.
+The distance is Euclidean, so L_d = 1 throughout. `perturbed_flow_check`
+integrates both sets with Euler steps and compares the measured distance
+against the bound at many checkpoints.
 """
 from __future__ import annotations
 
@@ -25,36 +26,24 @@ from .metrics import wasserstein_exact
 N_CHECKPOINTS = 100
 
 
-@dataclass(frozen=True)
-class GronwallBoundParams:
-    """Inputs of the divergence bound.
+def gronwall_bound(initial_distance: float, discrepancy: float, field_lipschitz: float,
+                   elapsed: float) -> float:
+    """(W0 + eps/L_F) * exp(L_F * t) - eps/L_F.
 
-    initial_distance: Wasserstein distance of the two sets at time zero.
+    initial_distance: Wasserstein distance W0 of the two sets at time zero.
     discrepancy: N times the maximum pointwise field discrepancy (eps).
-    field_lipschitz: Lipschitz constant of the unperturbed field (> 0).
-    metric_lipschitz: Lipschitz constant of the metric (1 for Euclidean).
+    field_lipschitz: Lipschitz constant L_F of the unperturbed field (> 0).
     elapsed: time t at which the bound is evaluated.
     """
-
-    initial_distance: float
-    discrepancy: float
-    field_lipschitz: float
-    metric_lipschitz: float
-    elapsed: float
-
-    def __post_init__(self) -> None:
-        for name in ("initial_distance", "discrepancy", "metric_lipschitz", "elapsed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if not self.field_lipschitz > 0:
-            raise ValueError("field_lipschitz must be positive")
-
-
-def gronwall_bound(params: GronwallBoundParams) -> float:
-    """(W0 + eps/L_F) * exp(L_d * L_F * t) - eps/L_F."""
-    ratio = params.discrepancy / params.field_lipschitz
-    growth = math.exp(params.metric_lipschitz * params.field_lipschitz * params.elapsed)
-    return (params.initial_distance + ratio) * growth - ratio
+    for name, value in (("initial_distance", initial_distance), ("discrepancy", discrepancy),
+                        ("elapsed", elapsed)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative")
+    if not field_lipschitz > 0:
+        raise ValueError("field_lipschitz must be positive")
+    ratio = discrepancy / field_lipschitz
+    growth = math.exp(field_lipschitz * elapsed)
+    return (initial_distance + ratio) * growth - ratio
 
 
 def max_ratio(observed: np.ndarray, bounds: np.ndarray) -> float:
@@ -87,20 +76,16 @@ def perturbed_flow_check(
     t_end: float,
     dt: float,
     seed: int,
-    field_lipschitz: float | None = None,
-    perturbation: str = "aligned",
 ) -> DivergenceCheckReport:
     """Euler-integrate exact and perturbed linear flows and bound their drift.
 
     Both sets start from the same seeded standard normal draw (their
     initial distance is zero). The perturbed set's field gains a fixed
-    per-particle offset of norm eps / n_points; in "aligned" mode every
-    offset points along the field's top singular direction, the extremal
-    arrangement that makes the measured distance track the bound tightly
-    (and makes an understated Lipschitz constant detectable). "random"
-    mode draws seeded unit directions instead. field_lipschitz defaults to
-    the spectral norm of the field matrix; pass an override to exercise
-    the bound with a different constant (it must be positive).
+    per-particle offset of norm eps / n_points along the field's top
+    singular direction, the extremal arrangement that makes the measured
+    distance track the bound tightly (and makes an understated Lipschitz
+    constant detectable). The bound uses the spectral norm of the field
+    matrix as its Lipschitz constant, which must be positive.
 
     Requires dt <= 1e-3 * t_end so the Euler error is negligible relative
     to the bound's slack.
@@ -114,10 +99,8 @@ def perturbed_flow_check(
         raise ValueError("t_end and dt must be positive")
     if dt > 1.0000001e-3 * t_end:
         raise ValueError(f"dt must be at most 1e-3 * t_end, got dt={dt}, t_end={t_end}")
-    if perturbation not in ("aligned", "random"):
-        raise ValueError(f"unknown perturbation mode {perturbation!r}")
     d = a.shape[0]
-    lipschitz = float(np.linalg.norm(a, 2)) if field_lipschitz is None else float(field_lipschitz)
+    lipschitz = float(np.linalg.norm(a, 2))
     if not lipschitz > 0:
         raise ValueError("field_lipschitz must be positive")
 
@@ -125,13 +108,8 @@ def perturbed_flow_check(
     x = gen.standard_normal((n_points, d))
     z = x.copy()
     if eps > 0:
-        if perturbation == "aligned":
-            _, _, vt = np.linalg.svd(a)
-            deltas = np.tile(vt[0], (n_points, 1)) * (eps / n_points)
-        else:
-            raw = gen.standard_normal((n_points, d))
-            raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-            deltas = raw * (eps / n_points)
+        _, _, vt = np.linalg.svd(a)
+        deltas = np.tile(vt[0], (n_points, 1)) * (eps / n_points)
     else:
         deltas = np.zeros((n_points, d))
 
@@ -147,17 +125,7 @@ def perturbed_flow_check(
             t = k * dt
             times.append(t)
             observed.append(wasserstein_exact(x, z).total_cost)
-            bounds.append(
-                gronwall_bound(
-                    GronwallBoundParams(
-                        initial_distance=w0,
-                        discrepancy=eps,
-                        field_lipschitz=lipschitz,
-                        metric_lipschitz=1.0,
-                        elapsed=t,
-                    )
-                )
-            )
+            bounds.append(gronwall_bound(w0, eps, lipschitz, t))
     times_arr = np.asarray(times)
     observed_arr = np.asarray(observed)
     bounds_arr = np.asarray(bounds)

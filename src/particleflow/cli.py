@@ -97,7 +97,7 @@ def main(argv=None) -> int:
             gamma = experiments.resolve_gamma(config, d)
             for method in config.methods:
                 experiments.grid_values(experiments.grid_center(config, method, d, gamma),
-                                        config.grid.orders, config.grid.points_per_order)
+                                        config.grid_orders, config.grid_points_per_order)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     failures: list[str] = []  # why each run_failed row failed, in row order

@@ -1,7 +1,7 @@
 """Experiment configuration: key=value files, flag overrides, validation."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 VALID_METHODS = ("flow", "mcl", "gd")
 EXPERIMENTS = ("synthetic", "pose", "theorem")
@@ -15,28 +15,6 @@ _EXPERIMENT_DEFAULTS = {
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Log-uniform hyperparameter grid spanning `orders` orders of magnitude.
-
-    center=None picks a scale-aware default per method and dimension (see
-    experiments.auto_grid_center); the resolved value is recorded in the
-    run manifest either way.
-    """
-
-    center: float | None = None
-    orders: int = 5
-    points_per_order: int = 2
-
-    def __post_init__(self) -> None:
-        if self.center is not None and not self.center > 0:
-            raise ValueError(f"grid center must be positive, got {self.center}")
-        if self.orders < 1:
-            raise ValueError(f"grid orders must be >= 1, got {self.orders}")
-        if self.points_per_order < 1:
-            raise ValueError(f"grid points_per_order must be >= 1, got {self.points_per_order}")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
     dims: tuple = (10,)
@@ -45,7 +23,12 @@ class ExperimentConfig:
     seeds: tuple = tuple(range(10))
     methods: tuple = ("flow", "mcl")
     gamma: float | None = None  # None: 0.5 synthetic / 8.0 pose, see resolve_gamma
-    grid: GridSpec = field(default_factory=GridSpec)
+    # log-uniform hyperparameter grid spanning grid_orders orders of magnitude;
+    # None picks a scale-aware center per method and dimension (see
+    # experiments.auto_grid_center), recorded in the run manifest either way
+    grid_center: float | None = None
+    grid_orders: int = 5
+    grid_points_per_order: int = 2
     out: str = "results.csv"
     # pose experiment
     pose_points: int = 12
@@ -56,6 +39,12 @@ class ExperimentConfig:
     dt: float = 1e-3
 
     def __post_init__(self) -> None:
+        if self.grid_center is not None and not self.grid_center > 0:
+            raise ValueError(f"grid center must be positive, got {self.grid_center}")
+        if self.grid_orders < 1:
+            raise ValueError(f"grid orders must be >= 1, got {self.grid_orders}")
+        if self.grid_points_per_order < 1:
+            raise ValueError(f"grid points_per_order must be >= 1, got {self.grid_points_per_order}")
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
         if self.n_steps < 1:
@@ -89,12 +78,8 @@ class ExperimentConfig:
         items = []
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name == "grid":
-                items.append(("grid_center", "auto" if value.center is None else repr(value.center)))
-                items.append(("grid_orders", str(value.orders)))
-                items.append(("grid_points_per_order", str(value.points_per_order)))
-            elif f.name == "gamma":
-                items.append(("gamma", "auto" if value is None else repr(value)))
+            if value is None:  # gamma and grid_center
+                items.append((f.name, "auto"))
             elif isinstance(value, tuple):
                 items.append((f.name, ",".join(str(v) for v in value)))
             else:
@@ -196,9 +181,4 @@ def make_config(experiment: str, file_values: dict | None = None, overrides: dic
                 continue
             merged[key] = value
     merged.pop("experiment", None)
-    grid = GridSpec(
-        center=merged.pop("grid_center", None),
-        orders=merged.pop("grid_orders", 5),
-        points_per_order=merged.pop("grid_points_per_order", 2),
-    )
-    return ExperimentConfig(experiment=experiment, grid=grid, **merged)
+    return ExperimentConfig(experiment=experiment, **merged)

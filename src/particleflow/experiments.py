@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, flow, rng
 from .baselines import MCLConfig, gradient_descent_step, mcl_step
-from .bounds import GronwallBoundParams, gronwall_bound, max_ratio, perturbed_flow_check
+from .bounds import gronwall_bound, max_ratio, perturbed_flow_check
 from .config import ExperimentConfig
 from .flow import Ensemble, FlowConfig, gradient_coefficient
 from .losses import exact_posterior, expected_posterior, sample_synthetic_problem
@@ -102,8 +102,8 @@ def auto_grid_center(method: str, experiment: str, d: int, gamma: float, sigma_e
 
 def grid_center(config: ExperimentConfig, method: str, d: int, gamma: float) -> float:
     """Configured grid center, or the scale-aware default for this experiment."""
-    if config.grid.center is not None:
-        return config.grid.center
+    if config.grid_center is not None:
+        return config.grid_center
     sigma_eff = config.sigma if config.sigma > 0 else 1.0
     return auto_grid_center(method, config.experiment, d, gamma, sigma_eff, config.pose_points)
 
@@ -148,8 +148,8 @@ def _sweep(config: ExperimentConfig, d: int, n: int, gamma: float, instances: di
     for method in config.methods:
         gamma_col = gamma if method == "flow" else None
         best_value, best_mean = None, math.inf
-        for value in grid_values(grid_center(config, method, d, gamma), config.grid.orders,
-                                 config.grid.points_per_order):
+        for value in grid_values(grid_center(config, method, d, gamma), config.grid_orders,
+                                 config.grid_points_per_order):
             eta, epsilon = (None, value) if method == "mcl" else (value, None)
             finals = []
             for seed, (problem, init, measure) in instances.items():
@@ -338,13 +338,7 @@ def run_theorem(config: ExperimentConfig) -> list[tuple]:
         satisfied = report.max_ratio <= BOUND_SLACK
         passes.append(satisfied)
         halved = np.array([
-            gronwall_bound(GronwallBoundParams(
-                initial_distance=report.initial_distance,
-                discrepancy=config.eps,
-                field_lipschitz=report.field_lipschitz / 2.0,
-                metric_lipschitz=1.0,
-                elapsed=t,
-            ))
+            gronwall_bound(report.initial_distance, config.eps, report.field_lipschitz / 2.0, t)
             for t in report.times
         ])
         control_ratio = max_ratio(report.observed, halved)

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -50,13 +49,11 @@ class FlowConfig:
         so smaller dimensions are rejected outright.
     gamma: kernel smoothing length, > 0 (state units).
     eta: step size multiplying the whole velocity field, > 0.
-    n_steps: number of filter iterations performed by `run`.
     """
 
     dim: int
     gamma: float
     eta: float
-    n_steps: int = 1
 
     def __post_init__(self) -> None:
         if self.dim < 3:
@@ -65,8 +62,6 @@ class FlowConfig:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if not self.eta > 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
 
 
 @dataclass(frozen=True)
@@ -97,10 +92,6 @@ class Ensemble:
     @property
     def n(self) -> int:
         return self.particles.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.particles.shape[1]
 
 
 @dataclass(frozen=True)
@@ -277,23 +268,3 @@ def step(ensemble: Ensemble, loss_model, config: FlowConfig) -> Ensemble:
     except ValueError as exc:
         raise ValueError(f"step {ensemble.step_index}: {exc}") from exc
     return Ensemble(ensemble.particles + displacements, ensemble.step_index + 1)
-
-
-def run(
-    initial: Ensemble,
-    loss_model,
-    config: FlowConfig,
-    observer: Optional[Callable[[int, Ensemble], None]] = None,
-) -> Ensemble:
-    """Apply `step` config.n_steps times, aborting on the first failure.
-
-    The observer, when given, is invoked after each step with
-    (step_index, ensemble) so metrics can record trajectories. With fixed
-    inputs the returned trajectory is bit-identical across runs.
-    """
-    ensemble = initial
-    for _ in range(config.n_steps):
-        ensemble = step(ensemble, loss_model, config)
-        if observer is not None:
-            observer(ensemble.step_index, ensemble)
-    return ensemble

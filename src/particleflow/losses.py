@@ -3,55 +3,17 @@
 Loss models are immutable and pure: `loss(t, x)` and `grad(t, x)` are
 vectorized over a leading batch axis, accepting `(d,)` or `(n, d)` states
 and returning matching scalar/`(n,)` and `(d,)`/`(n, d)` results. Repeated
-calls with the same arguments return identical values, so models are safe
-to evaluate concurrently.
+calls with the same arguments return identical values.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 import scipy.linalg
 
 from . import rng
 from .metrics import GaussianSummary
-
-
-@runtime_checkable
-class LossModel(Protocol):
-    """Time-indexed loss with gradient."""
-
-    @property
-    def dim(self) -> int: ...
-
-    def loss(self, step_index: int, x: np.ndarray) -> np.ndarray: ...
-
-    def grad(self, step_index: int, x: np.ndarray) -> np.ndarray: ...
-
-
-@dataclass(frozen=True)
-class QuadraticWellLoss:
-    """Static quadratic bowl 0.5 * |x - center|^2, gradient x - center."""
-
-    center: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.center, dtype=np.float64)
-        if c.ndim != 1:
-            raise ValueError("center must be a vector")
-        object.__setattr__(self, "center", c)
-
-    @property
-    def dim(self) -> int:
-        return self.center.shape[0]
-
-    def loss(self, step_index: int, x: np.ndarray) -> np.ndarray:
-        diff = np.asarray(x, dtype=np.float64) - self.center
-        return 0.5 * np.sum(diff * diff, axis=-1)
-
-    def grad(self, step_index: int, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64) - self.center
 
 
 @dataclass(frozen=True)
@@ -66,7 +28,6 @@ class QuadraticProjectionLoss:
 
     center: np.ndarray  # (d,) hidden parameter
     directions: np.ndarray  # (T, d), one per step
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         c = np.asarray(self.center, dtype=np.float64)
@@ -110,7 +71,7 @@ def sample_synthetic_problem(dim: int, n_steps: int, seed: int) -> QuadraticProj
     gen = rng.stream(seed, rng.PROBLEM)
     center = gen.standard_normal(dim)
     directions = gen.standard_normal((n_steps, dim))
-    return QuadraticProjectionLoss(center, directions, seed=seed)
+    return QuadraticProjectionLoss(center, directions)
 
 
 def exact_posterior(loss: QuadraticProjectionLoss, upto_step: int) -> GaussianSummary:
@@ -147,41 +108,3 @@ def expected_posterior(center: np.ndarray, t: int) -> GaussianSummary:
     c = np.asarray(center, dtype=np.float64)
     d = c.shape[0]
     return GaussianSummary((t / (1.0 + t)) * c, np.eye(d) / (1.0 + t))
-
-
-class FiniteDifferenceGradient:
-    """Adds a central finite-difference `grad` to a loss-only model.
-
-    Step size per coordinate is 1e-5 * (1 + |x_k|). Intended for tests and
-    as a fallback for losses without an analytic gradient; bundled models
-    all provide analytic gradients checked against this rule.
-    """
-
-    def __init__(self, base, dim: int | None = None, rel_step: float = 1e-5):
-        self._base = base
-        self._dim = dim if dim is not None else base.dim
-        self._rel = rel_step
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    def loss(self, step_index: int, x: np.ndarray) -> np.ndarray:
-        return self._base.loss(step_index, x)
-
-    def grad(self, step_index: int, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        batch = x[None, :] if single else x
-        out = np.empty_like(batch)
-        for k in range(batch.shape[1]):
-            h = self._rel * (1.0 + np.abs(batch[:, k]))
-            plus = batch.copy()
-            plus[:, k] += h
-            minus = batch.copy()
-            minus[:, k] -= h
-            out[:, k] = (
-                np.asarray(self._base.loss(step_index, plus), dtype=np.float64)
-                - np.asarray(self._base.loss(step_index, minus), dtype=np.float64)
-            ) / (2.0 * h)
-        return out[0] if single else out

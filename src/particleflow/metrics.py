@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Union
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -78,29 +77,26 @@ def default_ridge(covariance: np.ndarray) -> float:
     return 1e-6 * float(np.trace(cov)) / cov.shape[0] + 1e-12
 
 
-def fit_gaussian(particles, ridge: float | None = None) -> GaussianSummary:
+def fit_gaussian(particles: np.ndarray) -> GaussianSummary:
     """Sample mean and unbiased sample covariance plus ridge * I.
 
-    Accepts an (n, d) array or anything exposing a `.particles` array.
     With n close to or below d the raw sample covariance is singular; the
-    default ridge (see `default_ridge`) keeps the fit usable for KL. Pass
-    ridge=0 to disable regularization. Requires n >= 2.
+    ridge (see `default_ridge`) keeps the fit usable for KL. Requires an
+    (n, d) array with n >= 2.
     """
-    x = np.asarray(getattr(particles, "particles", particles), dtype=np.float64)
+    x = np.asarray(particles, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"particles must be an (n, d) array, got shape {x.shape}")
     n, d = x.shape
     if n < 2:
         raise ValueError(f"need at least 2 particles to fit a Gaussian, got {n}")
-    if ridge is not None and ridge < 0:
-        raise ValueError(f"ridge must be nonnegative, got {ridge}")
     mean = x.mean(axis=0)
     centered = x - mean
     cov = centered.T @ centered / (n - 1)
     cov = 0.5 * (cov + cov.T)
-    applied = default_ridge(cov) if ridge is None else float(ridge)
-    cov = cov + applied * np.eye(d)
-    return GaussianSummary(mean, cov, ridge=applied)
+    ridge = default_ridge(cov)
+    cov = cov + ridge * np.eye(d)
+    return GaussianSummary(mean, cov, ridge=ridge)
 
 
 def _factor(g: GaussianSummary, name: str) -> tuple[np.ndarray, float]:
@@ -162,20 +158,16 @@ def kl_gaussians(p: GaussianSummary, q: GaussianSummary) -> float:
     return max(kl, 0.0)
 
 
-def wasserstein_exact(
-    a,
-    b,
-    metric: Union[str, Callable[[np.ndarray, np.ndarray], float]] = "euclidean",
-) -> AssignmentResult:
+def wasserstein_exact(a: np.ndarray, b: np.ndarray) -> AssignmentResult:
     """Assignment-form Wasserstein distance between equal-size point sets.
 
-    Solves min over permutations pi of sum_i metric(a_i, b_pi(i)) exactly
+    Solves min over permutations pi of sum_i |a_i - b_pi(i)| exactly
     with an O(N^3) assignment solver and returns the minimizing
     permutation together with the total cost (a plain sum over the N
     matched pairs, no 1/N averaging).
     """
-    xa = np.asarray(getattr(a, "particles", a), dtype=np.float64)
-    xb = np.asarray(getattr(b, "particles", b), dtype=np.float64)
+    xa = np.asarray(a, dtype=np.float64)
+    xb = np.asarray(b, dtype=np.float64)
     if xa.ndim != 2 or xb.ndim != 2:
         raise ValueError("point sets must be (n, d) arrays")
     if xa.shape[0] != xb.shape[0]:
@@ -187,9 +179,9 @@ def wasserstein_exact(
     from scipy.optimize import linear_sum_assignment
     from scipy.spatial.distance import cdist
 
-    cost = cdist(xa, xb, metric=metric)
+    cost = cdist(xa, xb)
     if not np.isfinite(cost).all():
-        raise ValueError("metric produced non-finite pairwise costs")
+        raise ValueError("non-finite pairwise distances")
     rows, cols = linear_sum_assignment(cost)
     return AssignmentResult(permutation=cols.copy(), total_cost=float(cost[rows, cols].sum()))
 

@@ -58,11 +58,6 @@ def canonicalize_rotation_vector(w: np.ndarray) -> np.ndarray:
     return w * (wrapped / angle)
 
 
-def pose_pack(state: PoseState) -> np.ndarray:
-    """PoseState -> flat 6-vector [translation, rotation vector]."""
-    return np.concatenate([state.translation, state.rotation])
-
-
 def pose_unpack(vector: np.ndarray) -> PoseState:
     """Flat 6-vector -> PoseState, canonicalizing the rotation vector."""
     v = np.asarray(vector, dtype=np.float64)
@@ -75,8 +70,7 @@ def pose_unpack(vector: np.ndarray) -> PoseState:
 
 def mean_pose(particles: np.ndarray) -> PoseState:
     """Euclidean mean of pose particles, canonicalized at read-out."""
-    x = np.asarray(getattr(particles, "particles", particles), dtype=np.float64)
-    return pose_unpack(x.mean(axis=0))
+    return pose_unpack(np.asarray(particles, dtype=np.float64).mean(axis=0))
 
 
 def random_rotation_vectors(gen: np.random.Generator, count: int) -> np.ndarray:

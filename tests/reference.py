@@ -1,16 +1,47 @@
-"""Independent reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles, and test fixtures.
 
-These are deliberately naive (scalar loops, direct formulas) and share no
-code with the library paths they check.
+The oracles are deliberately naive (scalar loops, direct formulas) and
+share no code with the library paths they check. The fixtures are small
+loss models and helpers that only tests need.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 from scipy.spatial.transform import Rotation
+
+
+@dataclass(frozen=True)
+class QuadraticWellLoss:
+    """Static quadratic bowl 0.5 * |x - center|^2, gradient x - center."""
+
+    center: np.ndarray
+
+    def __post_init__(self) -> None:
+        c = np.asarray(self.center, dtype=np.float64)
+        if c.ndim != 1:
+            raise ValueError("center must be a vector")
+        object.__setattr__(self, "center", c)
+
+    @property
+    def dim(self) -> int:
+        return self.center.shape[0]
+
+    def loss(self, step_index: int, x: np.ndarray) -> np.ndarray:
+        diff = np.asarray(x, dtype=np.float64) - self.center
+        return 0.5 * np.sum(diff * diff, axis=-1)
+
+    def grad(self, step_index: int, x: np.ndarray) -> np.ndarray:
+        return np.asarray(x, dtype=np.float64) - self.center
+
+
+def pose_pack(state) -> np.ndarray:
+    """PoseState -> flat 6-vector [translation, rotation vector]."""
+    return np.concatenate([state.translation, state.rotation])
 
 
 def naive_flow_displacements(particles, losses, grads, gamma, eta):

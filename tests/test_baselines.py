@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from particleflow.baselines import MCLConfig, gradient_descent_step, mcl_step, systematic_resample
 from particleflow.flow import Ensemble, FlowConfig, evaluate_losses, flow_update, gradient_coefficient
-from particleflow.losses import QuadraticWellLoss
+
+from reference import QuadraticWellLoss
 
 
 class ConstantLoss:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from particleflow.cli import main
-from particleflow.config import ExperimentConfig, GridSpec, make_config, parse_config_file
+from particleflow.config import ExperimentConfig, make_config, parse_config_file
 from particleflow.experiments import HEADER, grid_values, summarize_rows
 
 
@@ -13,7 +13,8 @@ def test_defaults_match_documented_protocol():
     assert cfg.n_steps == 50
     assert cfg.seeds == tuple(range(10))
     assert cfg.methods == ("flow", "mcl")
-    assert cfg.grid.orders == 5
+    assert cfg.grid_center is None
+    assert cfg.grid_orders == 5 and cfg.grid_points_per_order == 2
     cfg = make_config("pose")
     assert cfg.n_particles == (80,)
     assert cfg.methods == ("flow", "gd")
@@ -83,8 +84,39 @@ def test_invariants_rejected():
         make_config("pose", {"methods": ("flow", "mcl")})
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="nope")
-    with pytest.raises(ValueError):
-        GridSpec(center=-1.0)
+    with pytest.raises(ValueError, match=r"^grid center must be positive, got -1.0$"):
+        make_config("synthetic", {"grid_center": -1.0})
+    with pytest.raises(ValueError, match=r"^grid orders must be >= 1, got 0$"):
+        make_config("synthetic", {"grid_orders": 0})
+    with pytest.raises(ValueError, match=r"^grid points_per_order must be >= 1, got 0$"):
+        make_config("pose", {"grid_points_per_order": 0})
+
+
+# resolved configuration of each experiment with no file and no flags, as
+# the manifest records it
+_MANIFEST_COMMON = [
+    ("dt", "0.001"), ("eps", "0.1"), ("gamma", "auto"), ("grid_center", "auto"),
+    ("grid_orders", "5"), ("grid_points_per_order", "2"), ("n_steps", "50"),
+    ("out", "results.csv"), ("pose_points", "12"), ("seeds", "0,1,2,3,4,5,6,7,8,9"),
+    ("sigma", "0.005"), ("t_end", "1.0"),
+]
+
+
+@pytest.mark.parametrize("experiment, specific", [
+    ("synthetic", [("dims", "10"), ("methods", "flow,mcl"), ("n_particles", "100")]),
+    ("pose", [("dims", "6"), ("methods", "flow,gd"), ("n_particles", "80")]),
+    ("theorem", [("dims", "3"), ("methods", ""), ("n_particles", "32")]),
+])
+def test_manifest_items_pin_resolved_defaults(experiment, specific):
+    expected = sorted(_MANIFEST_COMMON + specific + [("experiment", experiment)])
+    assert make_config(experiment).manifest_items() == expected
+
+
+def test_manifest_items_record_explicit_values():
+    items = dict(make_config("synthetic", {"gamma": 0.25, "grid_center": 1e-3},
+                             {"grid_orders": 3, "dims": (5, 10)}).manifest_items())
+    assert (items["gamma"], items["grid_center"], items["grid_orders"], items["dims"]) == (
+        "0.25", "0.001", "3", "5,10")
 
 
 def test_grid_spans_exact_orders_of_magnitude():

@@ -14,12 +14,10 @@ from particleflow.flow import (
     gradient_coefficient,
     kernel_constant,
     normalize_losses,
-    run,
     step,
 )
-from particleflow.losses import QuadraticWellLoss
 
-from reference import naive_flow_displacements, pair_summand
+from reference import QuadraticWellLoss, naive_flow_displacements, pair_summand
 
 
 def make_eval(loss_model, particles, t=0):
@@ -296,7 +294,7 @@ def test_flow_update_overflowing_sum_names_particle():
         flow_update(Ensemble(x), evaluation, config)
 
 
-# --- step / run --------------------------------------------------------------
+# --- step --------------------------------------------------------------------
 
 
 def test_step_zero_displacement_increments_index_only():
@@ -326,36 +324,30 @@ def test_step_does_not_mutate_input():
 def test_single_particle_converges_monotonically_to_center():
     center = np.array([1.0, -2.0, 0.5])
     loss_model = QuadraticWellLoss(center)
-    config = FlowConfig(dim=3, gamma=1.0, eta=5.0, n_steps=40)
+    config = FlowConfig(dim=3, gamma=1.0, eta=5.0)
+    n_steps = 40
     # contraction factor |1 - eta * C * gamma**(2-d)| < 1
     factor = 1.0 - config.eta * gradient_coefficient(3, 1.0)
     assert 0.0 < factor < 1.0
     ens = Ensemble(np.array([[4.0, 4.0, 4.0]]))
     distances = [np.linalg.norm(ens.particles[0] - center)]
-    for _ in range(config.n_steps):
+    for _ in range(n_steps):
         ens = step(ens, loss_model, config)
         distances.append(np.linalg.norm(ens.particles[0] - center))
     assert all(b < a for a, b in zip(distances, distances[1:]))
-    assert distances[-1] == pytest.approx(distances[0] * factor ** config.n_steps, rel=1e-9)
-
-
-def test_run_applies_exactly_n_steps_and_calls_observer():
-    seen = []
-    initial = Ensemble(np.zeros((2, 3)))
-    config = FlowConfig(dim=3, gamma=1.0, eta=0.1, n_steps=1)
-    out = run(initial, QuadraticWellLoss(np.ones(3)), config,
-              observer=lambda s, e: seen.append(s))
-    assert seen == [1]
-    assert out.step_index == 1
+    assert distances[-1] == pytest.approx(distances[0] * factor ** n_steps, rel=1e-9)
 
 
 def test_run_is_deterministic_bit_for_bit():
     gen = np.random.default_rng(5)
     x = gen.standard_normal((8, 3))
     loss_model = QuadraticWellLoss(gen.standard_normal(3))
-    config = FlowConfig(dim=3, gamma=0.9, eta=0.5, n_steps=25)
-    a = run(Ensemble(x), loss_model, config)
-    b = run(Ensemble(x), loss_model, config)
+    config = FlowConfig(dim=3, gamma=0.9, eta=0.5)
+    a = b = Ensemble(x)
+    for _ in range(25):
+        a = step(a, loss_model, config)
+        b = step(b, loss_model, config)
+    assert a.step_index == b.step_index == 25
     assert np.array_equal(a.particles, b.particles)
 
 
@@ -371,9 +363,12 @@ def test_run_reports_step_index_on_failure():
         def grad(self, t, x):
             return np.zeros_like(x)
 
-    config = FlowConfig(dim=3, gamma=1.0, eta=1.0, n_steps=10)
-    with pytest.raises(ValueError, match="step 2"):
-        run(Ensemble(np.zeros((2, 3))), ExplodingLoss(), config)
+    config = FlowConfig(dim=3, gamma=1.0, eta=1.0)
+    ensemble = Ensemble(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="^step 2: non-finite loss for particle 0 at step 2$"):
+        for _ in range(10):
+            ensemble = step(ensemble, ExplodingLoss(), config)
+    assert ensemble.step_index == 2
 
 
 # --- equivariance properties -------------------------------------------------
@@ -445,8 +440,6 @@ def test_flow_config_validation():
         FlowConfig(dim=3, gamma=0.0, eta=1.0)
     with pytest.raises(ValueError):
         FlowConfig(dim=3, gamma=1.0, eta=-0.1)
-    with pytest.raises(ValueError):
-        FlowConfig(dim=3, gamma=1.0, eta=1.0, n_steps=0)
 
 
 def test_evaluate_losses_reports_particle_index():

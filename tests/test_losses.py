@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from particleflow.losses import (
-    FiniteDifferenceGradient,
     QuadraticProjectionLoss,
-    QuadraticWellLoss,
     exact_posterior,
     expected_posterior,
     sample_synthetic_problem,
@@ -70,16 +68,6 @@ def test_gradients_match_finite_differences():
         t = int(gen.integers(0, 4))
         numeric = central_difference_gradient(lambda p: problem.loss(t, p), x)
         assert relative_gradient_error(problem.grad(t, x), numeric) < 1e-5
-
-
-def test_finite_difference_adapter_matches_analytic_gradient():
-    base = QuadraticWellLoss(np.array([1.0, -1.0, 2.0]))
-    adapted = FiniteDifferenceGradient(base)
-    gen = np.random.default_rng(2)
-    x = gen.standard_normal((4, 3))
-    assert relative_gradient_error(adapted.grad(0, x), base.grad(0, x)) < 1e-5
-    single = gen.standard_normal(3)
-    assert relative_gradient_error(adapted.grad(0, single), base.grad(0, single)) < 1e-5
 
 
 # --- posteriors --------------------------------------------------------------

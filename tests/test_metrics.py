@@ -35,11 +35,14 @@ def spd(gen, d, lo=0.5, hi=2.0):
 
 
 def test_fit_two_point_cloud_without_ridge():
+    # the sample covariance before the ridge is diag(2, 0, 0); the fit adds
+    # the default ridge on the diagonal and records it
     x = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-    fit = fit_gaussian(x, ridge=0.0)
+    fit = fit_gaussian(x)
+    raw = np.diag([2.0, 0.0, 0.0])
+    assert fit.ridge == default_ridge(raw)
     np.testing.assert_array_equal(fit.mean, np.zeros(3))
-    np.testing.assert_array_equal(fit.covariance, np.diag([2.0, 0.0, 0.0]))
-    assert fit.ridge == 0.0
+    np.testing.assert_array_equal(fit.covariance, raw + fit.ridge * np.eye(3))
 
 
 def test_fit_degenerate_cloud_is_ridge_dominated():
@@ -199,6 +202,7 @@ def test_gaussian_summary_rejects_asymmetry():
 def test_wasserstein_identical_sets_cost_zero_identity():
     x = np.random.default_rng(0).standard_normal((5, 3))
     result = wasserstein_exact(x, x)
+    assert isinstance(result, AssignmentResult)
     assert result.total_cost == 0.0
     assert np.array_equal(result.permutation, np.arange(5))
 
@@ -251,14 +255,6 @@ def test_wasserstein_triangle_inequality(seed):
     bc = wasserstein_exact(b, c).total_cost
     ac = wasserstein_exact(a, c).total_cost
     assert ac <= ab + bc + 1e-9
-
-
-def test_wasserstein_accepts_custom_metric():
-    a = np.array([[0.0], [1.0]])
-    b = np.array([[1.0], [3.0]])
-    result = wasserstein_exact(a, b, metric=lambda u, v: abs(u[0] - v[0]) ** 2)
-    assert isinstance(result, AssignmentResult)
-    assert result.total_cost == pytest.approx(1.0 + 4.0)
 
 
 # --- pose errors -------------------------------------------------------------

@@ -9,11 +9,10 @@ from particleflow.pose import (
     canonicalize_rotation_vector,
     make_pose_problem,
     mean_pose,
-    pose_pack,
     pose_unpack,
 )
 
-from reference import central_difference_gradient, naive_pose_gradient, relative_gradient_error
+from reference import central_difference_gradient, naive_pose_gradient, pose_pack, relative_gradient_error
 
 
 def test_zero_vector_is_identity_pose():
