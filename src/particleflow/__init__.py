@@ -15,13 +15,10 @@ __version__ = "0.1.0"
 
 from .flow import (
     Ensemble,
-    FlowConfig,
-    LossEvaluation,
     evaluate_losses,
     flow_update,
     gradient_coefficient,
     kernel_constant,
-    normalize_losses,
     step,
 )
 from .metrics import (
@@ -36,13 +33,10 @@ from .metrics import (
 __all__ = [
     "__version__",
     "Ensemble",
-    "FlowConfig",
-    "LossEvaluation",
     "evaluate_losses",
     "flow_update",
     "gradient_coefficient",
     "kernel_constant",
-    "normalize_losses",
     "step",
     "AssignmentResult",
     "GaussianSummary",

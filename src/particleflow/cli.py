@@ -84,7 +84,7 @@ def main(argv=None) -> int:
             if tuple(header) != experiments.HEADER:
                 raise SystemExit(f"{args.input}: unexpected header {header}")
             rows = list(reader)
-        experiments.write_summary(args.out, experiments.summarize_rows(rows))
+        experiments.write_csv(args.out, experiments.summarize_rows(rows), experiments.SUMMARY_HEADER)
         print(f"wrote {args.out}")
         return 0
 

@@ -116,15 +116,8 @@ def _parse_float_or_auto(text: str):
     return float(text)
 
 
-def _parse_experiment(text: str) -> str:
-    if text not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {text!r}")
-    return text
-
-
 # key -> (converter, human description used in error messages)
 _KEY_PARSERS = {
-    "experiment": (_parse_experiment, "one of synthetic|pose|theorem"),
     "dims": (_parse_int_list, "comma-separated integers"),
     "n_particles": (_parse_int_list, "comma-separated integers"),
     "n_steps": (_parse_int, "integer"),
@@ -180,5 +173,4 @@ def make_config(experiment: str, file_values: dict | None = None, overrides: dic
             if value is None and key not in ("gamma", "grid_center"):
                 continue
             merged[key] = value
-    merged.pop("experiment", None)
     return ExperimentConfig(experiment=experiment, **merged)

@@ -16,10 +16,10 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import __version__, flow, rng
-from .baselines import MCLConfig, gradient_descent_step, mcl_step
+from .baselines import gradient_descent_step, mcl_step
 from .bounds import gronwall_bound, max_ratio, perturbed_flow_check
 from .config import ExperimentConfig
-from .flow import Ensemble, FlowConfig, gradient_coefficient
+from .flow import Ensemble, gradient_coefficient
 from .losses import exact_posterior, expected_posterior, sample_synthetic_problem
 from .metrics import fit_gaussian, kl_gaussians, pose_errors
 from .pose import make_pose_problem, mean_pose, random_rotation_vectors
@@ -110,22 +110,18 @@ def grid_center(config: ExperimentConfig, method: str, d: int, gamma: float) -> 
 
 def _trajectory(method, value, problem, init, gamma, seed, n_steps):
     """Yield (step, particles) of one run, from the initial particles at step 0
-    through step n_steps; a failing step raises ValueError. MCL steps plain
-    particle arrays, flow and GD step an `Ensemble`."""
-    yield 0, init
-    if method == "flow":
-        config = FlowConfig(dim=init.shape[1], gamma=gamma, eta=value)
-    elif method == "mcl":
-        config = MCLConfig(epsilon=value, rng_seed=seed)
-    state = init if method == "mcl" else Ensemble(init, 0)
-    for s in range(n_steps):
-        if method == "flow":
-            state = flow.step(state, problem, config)
-        elif method == "mcl":
-            state = mcl_step(state, problem, config, s)
-        else:
-            state = gradient_descent_step(state, problem, value)
-        yield s + 1, state if method == "mcl" else state.particles
+    through step n_steps; a failing step raises ValueError. Every method
+    steps an `Ensemble`; the step functions are looked up when called."""
+    advance = {
+        "flow": lambda ensemble: flow.step(ensemble, problem, gamma, value),
+        "mcl": lambda ensemble: mcl_step(ensemble, problem, value, seed),
+        "gd": lambda ensemble: gradient_descent_step(ensemble, problem, value),
+    }[method]
+    ensemble = Ensemble(init, 0)
+    yield 0, ensemble.particles
+    for _ in range(n_steps):
+        ensemble = advance(ensemble)
+        yield ensemble.step_index, ensemble.particles
 
 
 def _sweep(config: ExperimentConfig, d: int, n: int, gamma: float, instances: dict, selection: str,
@@ -322,19 +318,19 @@ def run_theorem(config: ExperimentConfig) -> list[tuple]:
     """
     d = config.dims[0]
     n = config.n_particles[0]
+
+    def row(seed, step, metric, value):
+        return _row("theorem", "flow_pair", d, n, seed, None, None, None, None, step, metric, value, "ok")
+
     rows: list[tuple] = []
     passes, control_failures = [], []
     for seed in config.seeds:
         field = theorem_field(d, seed)
         report = perturbed_flow_check(n, field, config.eps, config.t_end, config.dt, seed)
-        for i, (t, w, bound) in enumerate(zip(report.times, report.observed, report.bounds)):
-            step = i + 1
-            rows.append(_row("theorem", "flow_pair", d, n, seed, None, None, None, None,
-                             step, "checkpoint_time", t, "ok"))
-            rows.append(_row("theorem", "flow_pair", d, n, seed, None, None, None, None,
-                             step, "wasserstein_observed", w, "ok"))
-            rows.append(_row("theorem", "flow_pair", d, n, seed, None, None, None, None,
-                             step, "gronwall_bound", bound, "ok"))
+        for step, (t, w, bound) in enumerate(zip(report.times, report.observed, report.bounds), start=1):
+            rows.append(row(seed, step, "checkpoint_time", t))
+            rows.append(row(seed, step, "wasserstein_observed", w))
+            rows.append(row(seed, step, "gronwall_bound", bound))
         satisfied = report.max_ratio <= BOUND_SLACK
         passes.append(satisfied)
         halved = np.array([
@@ -345,18 +341,12 @@ def run_theorem(config: ExperimentConfig) -> list[tuple]:
         control_failed = not control_ratio <= BOUND_SLACK
         control_failures.append(control_failed)
         last = len(report.times)
-        rows.append(_row("theorem", "flow_pair", d, n, seed, None, None, None, None,
-                         last, "max_ratio", report.max_ratio, "ok"))
-        rows.append(_row("theorem", "flow_pair", d, n, seed, None, None, None, None,
-                         last, "bound_satisfied", 1.0 if satisfied else 0.0, "ok"))
-        rows.append(_row("theorem", "flow_pair", d, n, seed, None, None, None, None,
-                         last, "negative_control_max_ratio", control_ratio, "ok"))
-        rows.append(_row("theorem", "flow_pair", d, n, seed, None, None, None, None,
-                         last, "negative_control_fails", 1.0 if control_failed else 0.0, "ok"))
-    rows.append(_row("theorem", "flow_pair", d, n, None, None, None, None, None, 0,
-                     "all_seeds_pass", 1.0 if all(passes) else 0.0, "ok"))
-    rows.append(_row("theorem", "flow_pair", d, n, None, None, None, None, None, 0,
-                     "negative_control_all_fail", 1.0 if all(control_failures) else 0.0, "ok"))
+        rows.append(row(seed, last, "max_ratio", report.max_ratio))
+        rows.append(row(seed, last, "bound_satisfied", 1.0 if satisfied else 0.0))
+        rows.append(row(seed, last, "negative_control_max_ratio", control_ratio))
+        rows.append(row(seed, last, "negative_control_fails", 1.0 if control_failed else 0.0))
+    rows.append(row(None, 0, "all_seeds_pass", 1.0 if all(passes) else 0.0))
+    rows.append(row(None, 0, "negative_control_all_fail", 1.0 if all(control_failures) else 0.0))
     return rows
 
 
@@ -365,9 +355,10 @@ def run_theorem(config: ExperimentConfig) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
-def write_csv(path: str, rows: list[tuple]) -> None:
+def write_csv(path: str, rows: list[tuple], header: tuple = HEADER) -> None:
+    """Write header and rows, comma-joined, one line each."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(HEADER) + "\n")
+        handle.write(",".join(header) + "\n")
         for row in rows:
             handle.write(",".join(row) + "\n")
 
@@ -440,9 +431,3 @@ SUMMARY_HEADER = (
     "metric", "mean", "stderr", "count",
 )
 
-
-def write_summary(path: str, rows: list[tuple]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(SUMMARY_HEADER) + "\n")
-        for row in rows:
-            handle.write(",".join(row) + "\n")

@@ -20,6 +20,12 @@ interactions are evaluated at the pre-step positions, and the result does
 not depend on the order in which particles are updated. There is no
 resampling and no randomness anywhere in this module.
 
+``step(ensemble, loss_model, gamma, eta)`` maps an `Ensemble` at step t
+to the ensemble at step t + 1, as the baselines' ``mcl_step`` and
+``gradient_descent_step`` do. Its two halves are `evaluate_losses`, which
+returns the normalized losses and gradients, and `flow_update`, which
+turns them into displacements.
+
 The pairwise term costs O(n^2 d) time and O(n d) memory. It is summed
 from exact differences x_i - x_j (no Gram-matrix expansion, which cancels
 badly for near-coincident particles), laid out coordinate-major so that
@@ -39,29 +45,6 @@ import numpy as np
 _BUDGET = 1 << 16
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
-@dataclass(frozen=True)
-class FlowConfig:
-    """Flow hyperparameters.
-
-    dim: state dimension d; the kernel constant is singular below d = 3,
-        so smaller dimensions are rejected outright.
-    gamma: kernel smoothing length, > 0 (state units).
-    eta: step size multiplying the whole velocity field, > 0.
-    """
-
-    dim: int
-    gamma: float
-    eta: float
-
-    def __post_init__(self) -> None:
-        if self.dim < 3:
-            raise ValueError(f"dim must be >= 3 (kernel constant undefined below), got {self.dim}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
 
 
 @dataclass(frozen=True)
@@ -92,21 +75,6 @@ class Ensemble:
     @property
     def n(self) -> int:
         return self.particles.shape[0]
-
-
-@dataclass(frozen=True)
-class LossEvaluation:
-    """Losses and gradients of one ensemble at one time index.
-
-    normalized_losses[i] = losses[i] - normalizer, where the normalizer is
-    the ensemble mean loss; the normalized losses sum to zero up to
-    rounding.
-    """
-
-    losses: np.ndarray  # (n,)
-    grads: np.ndarray  # (n, d)
-    normalizer: float
-    normalized_losses: np.ndarray  # (n,)
 
 
 def _log_kernel_constant(dim: int) -> float:
@@ -148,36 +116,40 @@ def gradient_coefficient(dim: int, gamma: float) -> float:
     return math.exp(exponent)
 
 
-def normalize_losses(losses) -> tuple[float, np.ndarray]:
-    """Subtract the ensemble mean: returns (normalizer, centered losses)."""
-    arr = np.asarray(losses, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] < 1:
-        raise ValueError(f"losses must be a nonempty 1-d array, got shape {arr.shape}")
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        raise ValueError(f"non-finite loss at particle {bad[0]}")
-    normalizer = float(arr.mean())
-    return normalizer, arr - normalizer
-
-
-def evaluate_losses(loss_model, ensemble: Ensemble) -> LossEvaluation:
-    """Evaluate a loss model on every particle at the ensemble's time index."""
-    t = ensemble.step_index
-    x = ensemble.particles
+def _checked_losses(loss_model, t: int, x: np.ndarray) -> np.ndarray:
+    """loss_model.loss(t, x) as floats; ValueError on a wrong shape or the
+    first non-finite loss."""
     losses = np.asarray(loss_model.loss(t, x), dtype=np.float64)
-    if losses.shape != (ensemble.n,):
-        raise ValueError(f"loss model returned shape {losses.shape}, expected ({ensemble.n},)")
+    if losses.shape != (x.shape[0],):
+        raise ValueError(f"loss model returned shape {losses.shape}, expected ({x.shape[0]},)")
     bad = np.flatnonzero(~np.isfinite(losses))
     if bad.size:
         raise ValueError(f"non-finite loss for particle {bad[0]} at step {t}")
+    return losses
+
+
+def _checked_grads(loss_model, t: int, x: np.ndarray) -> np.ndarray:
+    """loss_model.grad(t, x) as floats; ValueError on a wrong shape or the
+    first particle with a non-finite gradient."""
     grads = np.asarray(loss_model.grad(t, x), dtype=np.float64)
     if grads.shape != x.shape:
         raise ValueError(f"loss gradient has shape {grads.shape}, expected {x.shape}")
     bad = np.flatnonzero(~np.isfinite(grads).all(axis=1))
     if bad.size:
-        raise ValueError(f"non-finite loss gradient for particle {bad[0]} at step {t}")
-    normalizer, normalized = normalize_losses(losses)
-    return LossEvaluation(losses, grads, normalizer, normalized)
+        raise ValueError(f"non-finite gradient for particle {bad[0]} at step {t}")
+    return grads
+
+
+def evaluate_losses(loss_model, ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
+    """(normalized losses, gradients) of every particle at the ensemble's time index.
+
+    The normalized losses are the losses minus their ensemble mean, so they
+    sum to zero up to rounding.
+    """
+    t, x = ensemble.step_index, ensemble.particles
+    losses = _checked_losses(loss_model, t, x)
+    grads = _checked_grads(loss_model, t, x)
+    return losses - losses.mean(), grads
 
 
 def _interaction_sum(x: np.ndarray, normalized_losses: np.ndarray, gamma: float, dim: int) -> np.ndarray:
@@ -218,8 +190,15 @@ def _interaction_sum(x: np.ndarray, normalized_losses: np.ndarray, gamma: float,
     return out
 
 
-def flow_update(ensemble: Ensemble, evaluation: LossEvaluation, config: FlowConfig) -> np.ndarray:
+def flow_update(ensemble: Ensemble, normalized_losses: np.ndarray, grads: np.ndarray,
+                gamma: float, eta: float) -> np.ndarray:
     """Per-particle displacements eta * F(x_j) for one synchronous step.
+
+    normalized_losses and grads are as returned by `evaluate_losses`;
+    gamma > 0 is the kernel smoothing length (state units) and eta > 0 the
+    step size multiplying the whole velocity field. The state dimension
+    d is the ensemble's width and must be at least 3, where the kernel
+    constant is defined.
 
     With a single particle the update is exactly the gradient term
     -eta * C * gamma**(2-d) * grads[j]; the pairwise term of a lone
@@ -232,30 +211,30 @@ def flow_update(ensemble: Ensemble, evaluation: LossEvaluation, config: FlowConf
     """
     x = ensemble.particles
     n, d = x.shape
-    if d != config.dim:
-        raise ValueError(f"ensemble dimension {d} != config dim {config.dim}")
-    if evaluation.grads.shape != x.shape or evaluation.normalized_losses.shape != (n,):
-        raise ValueError("loss evaluation does not match ensemble shape")
-    coeff = config.eta * gradient_coefficient(d, config.gamma)
+    if not eta > 0:
+        raise ValueError(f"eta must be positive, got {eta}")
+    if grads.shape != x.shape or normalized_losses.shape != (n,):
+        raise ValueError("losses or gradients do not match the ensemble's shape")
+    coeff = eta * gradient_coefficient(d, gamma)
     if not math.isfinite(coeff):
         raise ValueError(
             f"gradient coefficient eta * C * gamma**(2-d) overflowed "
-            f"(eta={config.eta}, gamma={config.gamma}, dim={d})"
+            f"(eta={eta}, gamma={gamma}, dim={d})"
         )
-    displacements = (-coeff) * evaluation.grads
+    displacements = (-coeff) * grads
     if not np.isfinite(displacements).all():
         k = np.argwhere(~np.isfinite(displacements))[0, 0]
         raise ValueError(f"non-finite gradient term for particle {k}")
     if n > 1:
-        pair = _interaction_sum(x, evaluation.normalized_losses, config.gamma, d)
-        displacements = displacements + (-(config.eta * kernel_constant(d))) * pair
+        pair = _interaction_sum(x, normalized_losses, gamma, d)
+        displacements = displacements + (-(eta * kernel_constant(d))) * pair
         if not np.isfinite(displacements).all():
             j = np.argwhere(~np.isfinite(displacements))[0, 0]
             raise ValueError(f"non-finite displacement for particle {j}")
     return displacements
 
 
-def step(ensemble: Ensemble, loss_model, config: FlowConfig) -> Ensemble:
+def step(ensemble: Ensemble, loss_model, gamma: float, eta: float) -> Ensemble:
     """One synchronous filter step; returns a new ensemble, input untouched.
 
     All quantities are read from the pre-step ensemble and written to a
@@ -263,8 +242,8 @@ def step(ensemble: Ensemble, loss_model, config: FlowConfig) -> Ensemble:
     update order.
     """
     try:
-        evaluation = evaluate_losses(loss_model, ensemble)
-        displacements = flow_update(ensemble, evaluation, config)
+        normalized_losses, grads = evaluate_losses(loss_model, ensemble)
+        displacements = flow_update(ensemble, normalized_losses, grads, gamma, eta)
     except ValueError as exc:
         raise ValueError(f"step {ensemble.step_index}: {exc}") from exc
     return Ensemble(ensemble.particles + displacements, ensemble.step_index + 1)

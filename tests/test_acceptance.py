@@ -17,12 +17,10 @@ from particleflow.config import make_config
 from particleflow.experiments import HEADER, SELECTION_METRIC, run_pose, run_synthetic, theorem_field
 from particleflow.flow import (
     Ensemble,
-    FlowConfig,
     evaluate_losses,
     flow_update,
     gradient_coefficient,
     kernel_constant,
-    normalize_losses,
     step,
 )
 from particleflow.losses import sample_synthetic_problem
@@ -114,32 +112,33 @@ def pose_sweep():
 
 def test_c1_flow_invariants():
     gen = np.random.default_rng(0)
+    gamma, eta = 0.7, 0.4
 
     # mean-zero normalized losses
+    origin = QuadraticWellLoss(np.zeros(3))
     for size in (1, 2, 17, 64):
-        losses = 1e3 * gen.standard_normal(size)
-        _, centered = normalize_losses(losses)
+        xs = 1e2 * gen.standard_normal((size, 3))
+        centered, _ = evaluate_losses(origin, Ensemble(xs))
+        losses = origin.loss(0, xs)
         assert abs(centered.sum()) <= 1e-9 * size * np.abs(losses).max()
 
     # n = 1 degeneracy to gradient descent, exact
     x1 = gen.standard_normal((1, 3))
     well = QuadraticWellLoss(gen.standard_normal(3))
-    config = FlowConfig(dim=3, gamma=0.7, eta=0.4)
-    ev = evaluate_losses(well, Ensemble(x1))
-    disp = flow_update(Ensemble(x1), ev, config)
-    assert np.array_equal(disp, -(0.4 * gradient_coefficient(3, 0.7)) * ev.grads)
+    centered, grads = evaluate_losses(well, Ensemble(x1))
+    disp = flow_update(Ensemble(x1), centered, grads, gamma, eta)
+    assert np.array_equal(disp, -(eta * gradient_coefficient(3, gamma)) * grads)
 
     # i = j summand exactly zero: an isolated particle with zero gradient
     # and arbitrary loss must not move
-    from particleflow.flow import LossEvaluation
-    lone = LossEvaluation(np.array([7.0]), np.zeros((1, 3)), 7.0, np.array([0.0]))
-    assert np.all(flow_update(Ensemble(np.zeros((1, 3))), lone, config) == 0.0)
+    lone = flow_update(Ensemble(np.zeros((1, 3))), np.array([0.0]), np.zeros((1, 3)), gamma, eta)
+    assert np.all(lone == 0.0)
 
     # permutation equivariance
     x = gen.standard_normal((7, 3))
     perm = gen.permutation(7)
-    plain = step(Ensemble(x), well, config).particles
-    permuted = step(Ensemble(x[perm]), well, config).particles
+    plain = step(Ensemble(x), well, gamma, eta).particles
+    permuted = step(Ensemble(x[perm]), well, gamma, eta).particles
     np.testing.assert_allclose(permuted, plain[perm], rtol=1e-12, atol=1e-12)
 
     # translation equivariance
@@ -154,16 +153,15 @@ def test_c1_flow_invariants():
         def grad(self, t, p):
             return well.grad(t, np.asarray(p) - shift)
 
-    shifted = step(Ensemble(x + shift), Shifted(), config).particles
+    shifted = step(Ensemble(x + shift), Shifted(), gamma, eta).particles
     np.testing.assert_allclose(shifted, plain + shift, rtol=1e-12, atol=1e-12)
 
     # synchronous update order independence + brute-force oracle, n <= 5, d = 3
     for n in (2, 3, 4, 5):
         xs = gen.standard_normal((n, 3))
-        ev = evaluate_losses(well, Ensemble(xs))
-        disp = flow_update(Ensemble(xs), ev, config)
+        disp = flow_update(Ensemble(xs), *evaluate_losses(well, Ensemble(xs)), gamma, eta)
         oracle = naive_flow_displacements(
-            xs, list(ev.losses), [list(g) for g in ev.grads], 0.7, 0.4)
+            xs, list(well.loss(0, xs)), [list(g) for g in well.grad(0, xs)], gamma, eta)
         np.testing.assert_allclose(disp, oracle, rtol=1e-12, atol=1e-14)
 
     report("criterion 1: flow invariant suite", True,
@@ -352,12 +350,14 @@ def test_c8_pose_trend(pose_sweep):
 # --- criterion 9: complexity ------------------------------------------------------
 
 
+C9_GAMMA, C9_ETA = 0.5, 1e-3
+
+
 def _flow_setup(n, d=10):
     gen = np.random.default_rng(0)
     ensemble = Ensemble(gen.standard_normal((n, d)))
     well = QuadraticWellLoss(np.zeros(d))
-    config = FlowConfig(dim=d, gamma=0.5, eta=1e-3)
-    return ensemble, well, config
+    return ensemble, well
 
 
 def _min_step_times(sizes, reps=11):
@@ -368,22 +368,22 @@ def _min_step_times(sizes, reps=11):
     keeps the least disturbed round, since interference only adds time.
     """
     setups = {n: _flow_setup(n) for n in sizes}
-    for ensemble, well, config in setups.values():
-        step(ensemble, well, config)  # warm up allocators and caches
+    for ensemble, well in setups.values():
+        step(ensemble, well, C9_GAMMA, C9_ETA)  # warm up allocators and caches
     times = {n: [] for n in sizes}
     for _ in range(reps):
-        for n, (ensemble, well, config) in setups.items():
+        for n, (ensemble, well) in setups.items():
             start = time.perf_counter()
-            step(ensemble, well, config)
+            step(ensemble, well, C9_GAMMA, C9_ETA)
             times[n].append(time.perf_counter() - start)
     return {n: min(t) for n, t in times.items()}
 
 
 def _peak_update_memory(n):
-    ensemble, well, config = _flow_setup(n)
-    evaluation = evaluate_losses(well, ensemble)
+    ensemble, well = _flow_setup(n)
+    centered, grads = evaluate_losses(well, ensemble)
     tracemalloc.start()
-    flow_update(ensemble, evaluation, config)
+    flow_update(ensemble, centered, grads, C9_GAMMA, C9_ETA)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return peak

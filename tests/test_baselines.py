@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from particleflow.baselines import MCLConfig, gradient_descent_step, mcl_step, systematic_resample
-from particleflow.flow import Ensemble, FlowConfig, evaluate_losses, flow_update, gradient_coefficient
+from particleflow import flow
+from particleflow.baselines import gradient_descent_step, mcl_step, systematic_resample
+from particleflow.flow import Ensemble, evaluate_losses, flow_update, gradient_coefficient
 
 from reference import QuadraticWellLoss
 
@@ -43,6 +44,8 @@ class PointTargetLoss:
     st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=2, max_size=32),
     st.floats(min_value=0.0, max_value=0.999999),
 )
+# tied weights whose first cumulative sum rounds to just above 1/3
+@example([0.21017422996681986] * 3, 0.0)
 def test_systematic_resample_counts_within_one(raw_weights, offset):
     w = np.asarray(raw_weights) / sum(raw_weights)
     n = w.shape[0]
@@ -75,47 +78,43 @@ def test_uniform_weights_resample_is_a_permutation():
 def test_mcl_uniform_losses_keep_every_moved_particle():
     gen = np.random.default_rng(1)
     particles = gen.standard_normal((6, 3))
-    config = MCLConfig(epsilon=0.01, rng_seed=3)
-    out = mcl_step(particles, ConstantLoss(), config, 0)
-    assert out.shape == (6, 3)
+    out = mcl_step(Ensemble(particles), ConstantLoss(), 0.01, 3)
+    assert out.particles.shape == (6, 3) and out.step_index == 1
     # uniform weights: the resampled set is exactly the moved set, reordered
-    moved = sorted(map(tuple, out))
+    moved = sorted(map(tuple, out.particles))
     assert len(set(moved)) == 6
 
 
 def test_mcl_degenerate_weights_collapse_to_dominant_particle():
     target = np.array([5.0, 5.0, 5.0])
     particles = np.vstack([np.zeros((7, 3)), target])
-    config = MCLConfig(epsilon=1e-20, rng_seed=0)
-    out = mcl_step(particles, PointTargetLoss(target), config, 0)
-    np.testing.assert_allclose(out, np.tile(target, (8, 1)), atol=1e-8)
+    out = mcl_step(Ensemble(particles), PointTargetLoss(target), 1e-20, 0)
+    np.testing.assert_allclose(out.particles, np.tile(target, (8, 1)), atol=1e-8)
 
 
 def test_mcl_is_deterministic_per_seed():
     particles = np.random.default_rng(2).standard_normal((10, 3))
-    config = MCLConfig(epsilon=0.1, rng_seed=5)
-    a = mcl_step(particles, ConstantLoss(), config, 4)
-    b = mcl_step(particles, ConstantLoss(), config, 4)
-    assert np.array_equal(a, b)
-    c = mcl_step(particles, ConstantLoss(), config, 5)
-    assert not np.array_equal(a, c)
+    a = mcl_step(Ensemble(particles, 4), ConstantLoss(), 0.1, 5)
+    b = mcl_step(Ensemble(particles, 4), ConstantLoss(), 0.1, 5)
+    assert np.array_equal(a.particles, b.particles)
+    c = mcl_step(Ensemble(particles, 5), ConstantLoss(), 0.1, 5)
+    assert not np.array_equal(a.particles, c.particles)
 
 
 def test_mcl_tracks_static_gaussian_optimum():
     # stationary sanity run: mean settles near the loss minimum
     gen = np.random.default_rng(7)
-    particles = gen.standard_normal((1000, 3)) + 2.0
-    config = MCLConfig(epsilon=0.01, rng_seed=11)
+    ensemble = Ensemble(gen.standard_normal((1000, 3)) + 2.0)
     loss_model = QuadraticWellLoss(np.zeros(3))
-    for s in range(200):
-        particles = mcl_step(particles, loss_model, config, s)
-    assert np.linalg.norm(particles.mean(axis=0)) < 0.1
+    for _ in range(200):
+        ensemble = mcl_step(ensemble, loss_model, 0.01, 11)
+    assert ensemble.step_index == 200
+    assert np.linalg.norm(ensemble.particles.mean(axis=0)) < 0.1
 
 
 def test_mcl_vanishing_noise_and_uniform_weights_is_noop_up_to_permutation():
     particles = np.random.default_rng(3).standard_normal((12, 3))
-    config = MCLConfig(epsilon=1e-30, rng_seed=2)
-    out = mcl_step(particles, ConstantLoss(), config, 0)
+    out = mcl_step(Ensemble(particles), ConstantLoss(), 1e-30, 2).particles
     np.testing.assert_allclose(np.sort(out, axis=0), np.sort(particles, axis=0), atol=1e-13)
 
 
@@ -131,9 +130,8 @@ def test_mcl_weight_stage_produces_distribution_for_any_finite_losses():
 
     # exp(-1e8) underflows to 0; the min-shift keeps the weights a
     # distribution, so every output is a moved copy of some input particle
-    config = MCLConfig(epsilon=0.01, rng_seed=1)
     particles = np.arange(15.0).reshape(5, 3)
-    out = mcl_step(particles, HugeLoss(), config, 0)
+    out = mcl_step(Ensemble(particles), HugeLoss(), 0.01, 1).particles
     assert out.shape == (5, 3) and np.isfinite(out).all()
     nearest = np.linalg.norm(out[:, None, :] - particles[None, :, :], axis=2).min(axis=1)
     assert np.all(nearest < 1.0)
@@ -167,11 +165,10 @@ def test_gd_equals_flow_without_interaction_bit_exact():
     x = gen.standard_normal((5, 3))
     loss_model = QuadraticWellLoss(gen.standard_normal(3))
     eta, gamma, d = 0.37, 0.8, 3
-    config = FlowConfig(dim=d, gamma=gamma, eta=eta)
     flow_out = []
     for row in x:
         single = Ensemble(row[None, :])
-        flow_out.append(row + flow_update(single, evaluate_losses(loss_model, single), config)[0])
+        flow_out.append(row + flow_update(single, *evaluate_losses(loss_model, single), gamma, eta)[0])
     eta_prime = eta * gradient_coefficient(d, gamma)
     gd_out = gradient_descent_step(Ensemble(x), loss_model, eta_prime)
     assert np.array_equal(np.array(flow_out), gd_out.particles)
@@ -201,6 +198,48 @@ def test_gd_permutation_and_translation_equivariance():
     np.testing.assert_allclose(shifted, plain + shift, rtol=1e-12, atol=1e-12)
 
 
-def test_mcl_config_validation():
-    with pytest.raises(ValueError):
-        MCLConfig(epsilon=0.0, rng_seed=0)
+def test_mcl_step_rejects_nonpositive_epsilon():
+    with pytest.raises(ValueError, match="^epsilon must be positive, got 0.0$"):
+        mcl_step(Ensemble(np.zeros((2, 3))), ConstantLoss(), 0.0, 0)
+
+
+class MalformedLoss:
+    """Zero losses and gradients, of the given shapes, with one entry set to inf."""
+
+    def __init__(self, loss_shape=None, grad_shape=None, inf_loss_at=None, inf_grad_at=None):
+        self.loss_shape, self.grad_shape = loss_shape, grad_shape
+        self.inf_loss_at, self.inf_grad_at = inf_loss_at, inf_grad_at
+
+    def loss(self, t, x):
+        out = np.zeros(self.loss_shape or x.shape[0])
+        if self.inf_loss_at is not None:
+            out[self.inf_loss_at] = np.inf
+        return out
+
+    def grad(self, t, x):
+        out = np.zeros(self.grad_shape or x.shape)
+        if self.inf_grad_at is not None:
+            out[self.inf_grad_at, 1] = np.inf
+        return out
+
+
+LOSS_FAULTS = [
+    (MalformedLoss(loss_shape=5), r"loss model returned shape \(5,\), expected \(4,\)"),
+    (MalformedLoss(inf_loss_at=2), "non-finite loss for particle 2 at step 7"),
+]
+GRADIENT_FAULTS = [
+    (MalformedLoss(grad_shape=(4, 2)), r"loss gradient has shape \(4, 2\), expected \(4, 3\)"),
+    (MalformedLoss(inf_grad_at=2), "non-finite gradient for particle 2 at step 7"),
+]
+
+
+@pytest.mark.parametrize("advance, faults", [
+    (lambda e, model: flow.step(e, model, 1.0, 0.1), LOSS_FAULTS + GRADIENT_FAULTS),
+    (lambda e, model: mcl_step(e, model, 0.1, 0), LOSS_FAULTS),
+    (lambda e, model: gradient_descent_step(e, model, 0.1), GRADIENT_FAULTS),
+], ids=["flow", "mcl", "gd"])
+def test_every_step_checks_the_losses_and_gradients_it_reads(advance, faults):
+    ensemble = Ensemble(np.zeros((4, 3)), 7)
+    for model, message in faults:
+        with pytest.raises(ValueError, match=message + "$"):
+            advance(ensemble, model)

@@ -217,6 +217,16 @@ def test_cli_rejects_invalid_config_without_traceback(tmp_path):
     assert not (tmp_path / "never.csv").exists()
 
 
+def test_cli_config_file_cannot_name_the_experiment(tmp_path):
+    # the subcommand alone picks the experiment; a file naming another one
+    # must not run silently as the subcommand
+    cfg = tmp_path / "pose.cfg"
+    cfg.write_text("experiment=pose\n")
+    with pytest.raises(SystemExit, match=r"pose\.cfg:1: unknown key 'experiment'"):
+        main(["synthetic", "--config", str(cfg), "--out", str(tmp_path / "never.csv")])
+    assert not (tmp_path / "never.csv").exists()
+
+
 @pytest.mark.parametrize("gamma, orders, what", [
     ("1e-100", "1", "gradient coefficient C * gamma**(2-d) overflows (gamma=1e-100, dim=10)"),
     # a coefficient of 0 and a subnormal one: 1 / coefficient is not finite

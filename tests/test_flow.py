@@ -8,20 +8,33 @@ from hypothesis import strategies as st
 from particleflow import flow
 from particleflow.flow import (
     Ensemble,
-    FlowConfig,
     evaluate_losses,
     flow_update,
     gradient_coefficient,
     kernel_constant,
-    normalize_losses,
     step,
 )
 
 from reference import QuadraticWellLoss, naive_flow_displacements, pair_summand
 
 
-def make_eval(loss_model, particles, t=0):
-    return evaluate_losses(loss_model, Ensemble(particles, t))
+def centered(losses):
+    """Losses minus their mean, as evaluate_losses normalizes them."""
+    losses = np.asarray(losses, dtype=float)
+    return losses - losses.mean()
+
+
+class ListedLoss:
+    """Fixed per-particle losses and zero gradients, at every step."""
+
+    def __init__(self, losses):
+        self.losses = np.asarray(losses, dtype=float)
+
+    def loss(self, t, x):
+        return self.losses
+
+    def grad(self, t, x):
+        return np.zeros_like(x)
 
 
 class ShiftedLoss:
@@ -77,26 +90,18 @@ def test_gradient_coefficient_overflow_is_a_value_error():
 
 
 def test_normalize_losses_examples():
-    z, centered = normalize_losses([2.0, 4.0, 6.0])
-    assert z == 4.0
-    assert np.array_equal(centered, [-2.0, 0.0, 2.0])
-    z, centered = normalize_losses([5.0])
-    assert z == 5.0 and centered[0] == 0.0
-    z, centered = normalize_losses([1.5, 1.5])
-    assert z == 1.5 and np.array_equal(centered, [0.0, 0.0])
-
-
-def test_normalize_losses_rejects_nonfinite_with_index():
-    with pytest.raises(ValueError, match="particle 2"):
-        normalize_losses([1.0, 2.0, math.nan, 3.0])
+    for losses, expected in (([2.0, 4.0, 6.0], [-2.0, 0.0, 2.0]), ([5.0], [0.0]), ([1.5, 1.5], [0.0, 0.0])):
+        x = np.zeros((len(losses), 3))
+        normalized, _ = evaluate_losses(ListedLoss(losses), Ensemble(x))
+        assert np.array_equal(normalized, expected)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=64))
 def test_normalize_losses_mean_zero(losses):
-    _, centered = normalize_losses(losses)
+    normalized, _ = evaluate_losses(ListedLoss(losses), Ensemble(np.zeros((len(losses), 3))))
     bound = 1e-9 * len(losses) * max(1e-300, max(abs(v) for v in losses) if losses else 0.0)
-    assert abs(centered.sum()) <= max(bound, 1e-300)
+    assert abs(normalized.sum()) <= max(bound, 1e-300)
 
 
 # --- flow update -------------------------------------------------------------
@@ -106,10 +111,9 @@ def test_single_particle_reduces_to_gradient_descent_exactly():
     gen = np.random.default_rng(1)
     x = gen.standard_normal((1, 4))
     loss_model = QuadraticWellLoss(gen.standard_normal(4))
-    config = FlowConfig(dim=4, gamma=0.7, eta=0.3)
-    evaluation = make_eval(loss_model, x)
-    disp = flow_update(Ensemble(x), evaluation, config)
-    expected = -(config.eta * gradient_coefficient(4, config.gamma)) * evaluation.grads
+    normalized, grads = evaluate_losses(loss_model, Ensemble(x))
+    disp = flow_update(Ensemble(x), normalized, grads, 0.7, 0.3)
+    expected = -(0.3 * gradient_coefficient(4, 0.7)) * grads
     assert np.array_equal(disp, expected)
 
 
@@ -118,11 +122,10 @@ def test_equal_losses_leave_pure_gradient_steps():
     # centered losses, so the pairwise term vanishes identically.
     x = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     loss_model = QuadraticWellLoss(np.zeros(3))
-    config = FlowConfig(dim=3, gamma=0.5, eta=0.2)
-    evaluation = make_eval(loss_model, x)
-    assert np.array_equal(evaluation.normalized_losses, [0.0, 0.0])
-    disp = flow_update(Ensemble(x), evaluation, config)
-    expected = -(config.eta * gradient_coefficient(3, config.gamma)) * evaluation.grads
+    normalized, grads = evaluate_losses(loss_model, Ensemble(x))
+    assert np.array_equal(normalized, [0.0, 0.0])
+    disp = flow_update(Ensemble(x), normalized, grads, 0.5, 0.2)
+    expected = -(0.2 * gradient_coefficient(3, 0.5)) * grads
     assert np.array_equal(disp, expected)
 
 
@@ -132,10 +135,7 @@ def test_two_particle_attraction_repulsion_signs_and_magnitudes():
     x = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     gamma, eta, d = 0.5, 1.0, 3
     losses = np.array([0.0, 2.0])  # centered: -1, +1
-    grads = np.zeros((2, 3))
-    evaluation_like = evaluate_like(x, losses, grads)
-    config = FlowConfig(dim=d, gamma=gamma, eta=eta)
-    disp = flow_update(Ensemble(x), evaluation_like, config)
+    disp = flow_update(Ensemble(x), centered(losses), np.zeros((2, 3)), gamma, eta)
 
     c = 1.0 / (4.0 * math.pi)
     magnitude = c * 1.0 / (1.0 + gamma ** 2) ** 1.5
@@ -151,22 +151,13 @@ def test_two_particle_attraction_repulsion_signs_and_magnitudes():
         disp[1], eta * pair_summand(x[0], x[1], -1.0, gamma, d), rtol=1e-12)
 
 
-def evaluate_like(x, losses, grads):
-    from particleflow.flow import LossEvaluation, normalize_losses as norm
-
-    z, centered = norm(losses)
-    return LossEvaluation(np.asarray(losses, float), np.asarray(grads, float), z, centered)
-
-
 def test_pair_summands_match_scalar_formula_on_random_pairs():
     gen = np.random.default_rng(7)
     for _ in range(20):
         x = gen.standard_normal((2, 3))
         losses = gen.standard_normal(2)
         z = losses.mean()
-        evaluation = evaluate_like(x, losses, np.zeros((2, 3)))
-        config = FlowConfig(dim=3, gamma=0.8, eta=1.0)
-        disp = flow_update(Ensemble(x), evaluation, config)
+        disp = flow_update(Ensemble(x), centered(losses), np.zeros((2, 3)), 0.8, 1.0)
         np.testing.assert_allclose(
             disp[0], pair_summand(x[1], x[0], losses[1] - z, 0.8, 3), rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(
@@ -178,11 +169,10 @@ def test_flow_update_matches_naive_double_loop(n):
     gen = np.random.default_rng(100 + n)
     x = gen.standard_normal((n, 3))
     loss_model = QuadraticWellLoss(gen.standard_normal(3))
-    config = FlowConfig(dim=3, gamma=0.6, eta=0.15)
-    evaluation = make_eval(loss_model, x)
-    disp = flow_update(Ensemble(x), evaluation, config)
+    normalized, grads = evaluate_losses(loss_model, Ensemble(x))
+    disp = flow_update(Ensemble(x), normalized, grads, 0.6, 0.15)
     oracle = naive_flow_displacements(
-        x, list(evaluation.losses), [list(g) for g in evaluation.grads], 0.6, 0.15)
+        x, list(loss_model.loss(0, x)), [list(g) for g in loss_model.grad(0, x)], 0.6, 0.15)
     np.testing.assert_allclose(disp, oracle, rtol=1e-12, atol=1e-15)
 
 
@@ -215,8 +205,7 @@ def test_interaction_kernel_matches_naive_double_loop_on_adversarial_clouds(case
     unit = naive_flow_displacements(x, list(losses), grads.tolist(), gamma, 1.0)
     eta = 1.0 / np.abs(unit).max()
     oracle = naive_flow_displacements(x, list(losses), grads.tolist(), gamma, eta)
-    evaluation = evaluate_like(x, losses, grads)
-    disp = flow_update(Ensemble(x), evaluation, FlowConfig(dim=d, gamma=gamma, eta=eta))
+    disp = flow_update(Ensemble(x), centered(losses), grads, gamma, eta)
     np.testing.assert_allclose(disp, oracle, rtol=1e-12, atol=1e-15)
 
 
@@ -224,12 +213,10 @@ def test_interaction_kernel_matches_naive_double_loop_on_adversarial_clouds(case
 def test_interaction_kernel_is_bit_stable_for_any_block_split(case, monkeypatch):
     x, losses, gamma = _adversarial_cloud(case)
     n, d = x.shape
-    evaluation = evaluate_like(x, losses, np.zeros((n, d)))
-    config = FlowConfig(dim=d, gamma=gamma, eta=1.0)
     outputs = []
     for rows in (1, 7, n):
         monkeypatch.setattr(flow, "_BUDGET", rows * d * n)
-        outputs.append(flow_update(Ensemble(x), evaluation, config))
+        outputs.append(flow_update(Ensemble(x), centered(losses), np.zeros((n, d)), gamma, 1.0))
     assert all(np.array_equal(outputs[0], out) for out in outputs[1:])
 
 
@@ -237,26 +224,24 @@ def test_flow_update_self_term_is_exactly_zero():
     # A lone far-away particle with zero gradient must not move at all,
     # whatever its own centered loss would contribute through i = j.
     x = np.array([[0.0, 0.0, 0.0]])
-    evaluation = evaluate_like(x, np.array([123.0]), np.zeros((1, 3)))
-    config = FlowConfig(dim=3, gamma=0.1, eta=1.0)
-    assert np.all(flow_update(Ensemble(x), evaluation, config) == 0.0)
+    assert np.all(flow_update(Ensemble(x), centered([123.0]), np.zeros((1, 3)), 0.1, 1.0) == 0.0)
 
 
 def test_flow_update_dimension_mismatch_rejected():
+    # gradients of another dimension than the ensemble's, or one loss too many
     x = np.zeros((2, 4))
-    evaluation = evaluate_like(x, np.zeros(2), np.zeros((2, 4)))
-    with pytest.raises(ValueError, match="dimension"):
-        flow_update(Ensemble(x), evaluation, FlowConfig(dim=3, gamma=1.0, eta=1.0))
+    with pytest.raises(ValueError, match="do not match the ensemble's shape"):
+        flow_update(Ensemble(x), np.zeros(2), np.zeros((2, 3)), 1.0, 1.0)
+    with pytest.raises(ValueError, match="do not match the ensemble's shape"):
+        flow_update(Ensemble(x), np.zeros(3), np.zeros((2, 4)), 1.0, 1.0)
 
 
 def test_flow_update_nonfinite_diagnostic_names_particle_pair(monkeypatch):
     # Coincident particles with an underflowing kernel denominator produce
     # an inf * 0 interaction; the error must name the offending pair.
     x = np.zeros((2, 3))
-    evaluation = evaluate_like(x, np.array([0.0, 2.0]), np.zeros((2, 3)))
-    config = FlowConfig(dim=3, gamma=1e-160, eta=1.0)
     with pytest.raises(ValueError, match=r"particle pair \(1, 0\)"):
-        flow_update(Ensemble(x), evaluation, config)
+        flow_update(Ensemble(x), centered([0.0, 2.0]), np.zeros((2, 3)), 1e-160, 1.0)
     # rows 37 and 41 coincide, every other pair is far apart, so (41, 37)
     # is the first non-finite term, also when row 37 lies in a later block
     n = 45
@@ -265,22 +250,22 @@ def test_flow_update_nonfinite_diagnostic_names_particle_pair(monkeypatch):
     x[41] = x[37]
     losses = np.zeros(n)
     losses[41] = 2.0
-    evaluation = evaluate_like(x, losses - losses.mean(), np.zeros((n, 3)))
     for rows in (1, 10, n):
         monkeypatch.setattr(flow, "_BUDGET", rows * 3 * n)
         with pytest.raises(ValueError, match=r"particle pair \(41, 37\)$"):
-            flow_update(Ensemble(x), evaluation, config)
+            flow_update(Ensemble(x), centered(losses), np.zeros((n, 3)), 1e-160, 1.0)
 
 
 def test_flow_update_gradient_diagnostics_come_first():
     # Coincident particles would also give a non-finite interaction term;
     # the coefficient and then the gradient term are reported before it.
     x = np.zeros((3, 3))
-    evaluation = evaluate_like(x, np.array([0.0, 2.0, 1.0]), [[0.0] * 3, [1e308] * 3, [0.0] * 3])
+    normalized = centered([0.0, 2.0, 1.0])
+    grads = np.array([[0.0] * 3, [1e308] * 3, [0.0] * 3])
     with pytest.raises(ValueError, match="gradient coefficient .* overflowed"):
-        flow_update(Ensemble(x), evaluation, FlowConfig(dim=3, gamma=1e-160, eta=1e200))
+        flow_update(Ensemble(x), normalized, grads, 1e-160, 1e200)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"gradient term for particle 1$"):
-        flow_update(Ensemble(x), evaluation, FlowConfig(dim=3, gamma=1e-160, eta=1.0))
+        flow_update(Ensemble(x), normalized, grads, 1e-160, 1.0)
 
 
 def test_flow_update_overflowing_sum_names_particle():
@@ -288,10 +273,8 @@ def test_flow_update_overflowing_sum_names_particle():
     # point the same way and their sum overflows.
     a = 1e308
     x = np.array([[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 100.0, 0.0]])
-    evaluation = evaluate_like(x, np.array([a, -a, a, -a]), np.zeros((4, 3)))
-    config = FlowConfig(dim=3, gamma=1e-3, eta=1.0)
     with pytest.raises(ValueError, match=r"non-finite displacement for particle 0$"):
-        flow_update(Ensemble(x), evaluation, config)
+        flow_update(Ensemble(x), np.array([a, -a, a, -a]), np.zeros((4, 3)), 1e-3, 1.0)
 
 
 # --- step --------------------------------------------------------------------
@@ -309,7 +292,7 @@ def test_step_zero_displacement_increments_index_only():
         def grad(self, t, x):
             return np.zeros_like(x)
 
-    out = step(Ensemble(x, 3), ZeroLoss(), FlowConfig(dim=3, gamma=1.0, eta=1.0))
+    out = step(Ensemble(x, 3), ZeroLoss(), 1.0, 1.0)
     assert out.step_index == 4
     assert np.array_equal(out.particles, x)
 
@@ -317,22 +300,22 @@ def test_step_zero_displacement_increments_index_only():
 def test_step_does_not_mutate_input():
     x = np.ones((2, 3))
     ens = Ensemble(x)
-    step(ens, QuadraticWellLoss(np.zeros(3)), FlowConfig(dim=3, gamma=1.0, eta=0.1))
+    step(ens, QuadraticWellLoss(np.zeros(3)), 1.0, 0.1)
     assert np.array_equal(ens.particles, x)
 
 
 def test_single_particle_converges_monotonically_to_center():
     center = np.array([1.0, -2.0, 0.5])
     loss_model = QuadraticWellLoss(center)
-    config = FlowConfig(dim=3, gamma=1.0, eta=5.0)
+    gamma, eta = 1.0, 5.0
     n_steps = 40
     # contraction factor |1 - eta * C * gamma**(2-d)| < 1
-    factor = 1.0 - config.eta * gradient_coefficient(3, 1.0)
+    factor = 1.0 - eta * gradient_coefficient(3, gamma)
     assert 0.0 < factor < 1.0
     ens = Ensemble(np.array([[4.0, 4.0, 4.0]]))
     distances = [np.linalg.norm(ens.particles[0] - center)]
     for _ in range(n_steps):
-        ens = step(ens, loss_model, config)
+        ens = step(ens, loss_model, gamma, eta)
         distances.append(np.linalg.norm(ens.particles[0] - center))
     assert all(b < a for a, b in zip(distances, distances[1:]))
     assert distances[-1] == pytest.approx(distances[0] * factor ** n_steps, rel=1e-9)
@@ -342,11 +325,10 @@ def test_run_is_deterministic_bit_for_bit():
     gen = np.random.default_rng(5)
     x = gen.standard_normal((8, 3))
     loss_model = QuadraticWellLoss(gen.standard_normal(3))
-    config = FlowConfig(dim=3, gamma=0.9, eta=0.5)
     a = b = Ensemble(x)
     for _ in range(25):
-        a = step(a, loss_model, config)
-        b = step(b, loss_model, config)
+        a = step(a, loss_model, 0.9, 0.5)
+        b = step(b, loss_model, 0.9, 0.5)
     assert a.step_index == b.step_index == 25
     assert np.array_equal(a.particles, b.particles)
 
@@ -363,11 +345,10 @@ def test_run_reports_step_index_on_failure():
         def grad(self, t, x):
             return np.zeros_like(x)
 
-    config = FlowConfig(dim=3, gamma=1.0, eta=1.0)
     ensemble = Ensemble(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="^step 2: non-finite loss for particle 0 at step 2$"):
         for _ in range(10):
-            ensemble = step(ensemble, ExplodingLoss(), config)
+            ensemble = step(ensemble, ExplodingLoss(), 1.0, 1.0)
     assert ensemble.step_index == 2
 
 
@@ -381,9 +362,8 @@ def test_permutation_equivariance(n, seed):
     x = gen.standard_normal((n, 3))
     perm = gen.permutation(n)
     loss_model = QuadraticWellLoss(gen.standard_normal(3))
-    config = FlowConfig(dim=3, gamma=0.7, eta=0.2)
-    plain = step(Ensemble(x), loss_model, config).particles
-    permuted = step(Ensemble(x[perm]), loss_model, config).particles
+    plain = step(Ensemble(x), loss_model, 0.7, 0.2).particles
+    permuted = step(Ensemble(x[perm]), loss_model, 0.7, 0.2).particles
     np.testing.assert_allclose(permuted, plain[perm], rtol=1e-12, atol=1e-12)
 
 
@@ -394,9 +374,8 @@ def test_translation_equivariance(n, seed):
     x = gen.standard_normal((n, 3))
     shift = gen.uniform(-5, 5, size=3)
     base = QuadraticWellLoss(gen.standard_normal(3))
-    config = FlowConfig(dim=3, gamma=0.7, eta=0.2)
-    plain = step(Ensemble(x), base, config).particles
-    shifted = step(Ensemble(x + shift), ShiftedLoss(base, shift), config).particles
+    plain = step(Ensemble(x), base, 0.7, 0.2).particles
+    shifted = step(Ensemble(x + shift), ShiftedLoss(base, shift), 0.7, 0.2).particles
     np.testing.assert_allclose(shifted, plain + shift, rtol=1e-12, atol=1e-12)
 
 
@@ -407,11 +386,9 @@ def test_synchronous_update_reads_prestep_state():
     gen = np.random.default_rng(42)
     x = gen.standard_normal((5, 3)) * 0.3
     loss_model = QuadraticWellLoss(np.zeros(3))
-    config = FlowConfig(dim=3, gamma=0.4, eta=2.0)
-    evaluation = make_eval(loss_model, x)
-    out = step(Ensemble(x), loss_model, config).particles
+    out = step(Ensemble(x), loss_model, 0.4, 2.0).particles
     oracle = x + naive_flow_displacements(
-        x, list(evaluation.losses), [list(g) for g in evaluation.grads], 0.4, 2.0)
+        x, list(loss_model.loss(0, x)), [list(g) for g in loss_model.grad(0, x)], 0.4, 2.0)
     np.testing.assert_allclose(out, oracle, rtol=1e-12, atol=1e-15)
 
 
@@ -433,13 +410,13 @@ def test_ensemble_particles_are_read_only():
         ens.particles[0, 0] = 1.0
 
 
-def test_flow_config_validation():
-    with pytest.raises(ValueError):
-        FlowConfig(dim=2, gamma=1.0, eta=1.0)
-    with pytest.raises(ValueError):
-        FlowConfig(dim=3, gamma=0.0, eta=1.0)
-    with pytest.raises(ValueError):
-        FlowConfig(dim=3, gamma=1.0, eta=-0.1)
+def test_flow_step_validation():
+    with pytest.raises(ValueError, match="^step 0: kernel constant requires dim >= 3, got 2$"):
+        step(Ensemble(np.zeros((2, 2))), QuadraticWellLoss(np.zeros(2)), 1.0, 1.0)
+    with pytest.raises(ValueError, match="^step 0: gamma must be positive, got 0.0$"):
+        step(Ensemble(np.zeros((2, 3))), QuadraticWellLoss(np.zeros(3)), 0.0, 1.0)
+    with pytest.raises(ValueError, match="^step 0: eta must be positive, got -0.1$"):
+        step(Ensemble(np.zeros((2, 3))), QuadraticWellLoss(np.zeros(3)), 1.0, -0.1)
 
 
 def test_evaluate_losses_reports_particle_index():
