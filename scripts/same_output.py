@@ -3,9 +3,10 @@
 
     python3 scripts/same_output.py BASE_REV
 
-Runs every `configs/*.cfg` protocol with `--seeds 0,1`, plus three
-error-path sweeps (one of single-particle `fit_error` rows, and one each
-of diverging synthetic and pose runs), once from a checkout of BASE_REV
+Runs every `configs/*.cfg` protocol with `--seeds 0,1`, plus four
+error-path sweeps (one of single-particle `fit_error` rows, one each of
+diverging synthetic and pose runs, and one of flow runs whose kernel
+powers overflow at d=3 and d=50), once from a checkout of BASE_REV
 (`git archive` into a temporary directory) and once from the working
 tree. Each pair of CSVs is compared byte for byte, and each pair of
 manifests line for line without its `#` header lines (timestamp and
@@ -46,6 +47,12 @@ ERROR_PATHS = [
     # pose whose rotation vector overflowed
     ("pose_failure", ["pose", "--n-particles", "20", "--n-steps", "30", "--seeds", "0,1",
                       "--grid-orders", "24", "--grid-points-per-order", "1"]),
+    # flow grid edges whose clouds pass the kernel's power-overflow threshold
+    # float_max**(2/d) at both ends of d/2 (d=6 and d=10 are the configs'),
+    # with no run_failed rows
+    ("flow_overflow", ["synthetic", "--dims", "3,50", "--n-particles", "12", "--n-steps", "20",
+                       "--seeds", "0,1", "--method", "flow", "--grid-orders", "12",
+                       "--grid-points-per-order", "1"]),
 ]
 
 

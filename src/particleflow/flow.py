@@ -30,7 +30,9 @@ The pairwise term costs O(n^2 d) time and O(n d) memory. It is summed
 from exact differences x_i - x_j (no Gram-matrix expansion, which cancels
 badly for near-coincident particles), laid out coordinate-major so that
 each array operation runs along the particle axis, in blocks of rows sized
-by a fixed memory budget.
+by a fixed memory budget. Where a kernel denominator must overflow, as on
+the diverging clouds at the large-eta edge of a step-size grid, it is set
+to inf without computing the power, which numpy makes slow there.
 """
 from __future__ import annotations
 
@@ -164,6 +166,10 @@ def _interaction_sum(x: np.ndarray, normalized_losses: np.ndarray, gamma: float,
     Each output entry is one einsum reduction over all i, whatever the
     block, so the result is bit-stable for any split of the rows.
 
+    A base |x_j - x_i|^2 + gamma^2 whose power must overflow is set to inf
+    without computing the power, which numpy does tens of times slower
+    there; the weight is scaled / inf bit for bit as with the power.
+
     Raises ValueError naming the first particle pair (i, j) whose summand
     is not finite. A sum that overflows from finite summands is returned
     as is.
@@ -172,6 +178,9 @@ def _interaction_sum(x: np.ndarray, normalized_losses: np.ndarray, gamma: float,
     xt = np.ascontiguousarray(x.T)
     scaled = (dim - 2.0) * normalized_losses
     g2 = gamma * gamma
+    # the smallest base whose power certainly overflows; the margin is far
+    # above the rounding error of exp, so bases just below still go through **
+    overflow = math.exp(_LOG_FLOAT_MAX / (0.5 * dim)) * (1.0 + 1e-9)
     rows = max(1, min(n, _BUDGET // (d * n)))
     out = np.empty_like(x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -179,7 +188,14 @@ def _interaction_sum(x: np.ndarray, normalized_losses: np.ndarray, gamma: float,
             stop = min(start + rows, n)
             diff = xt[:, None, :] - xt[:, start:stop, None]  # diff[k, b, i] = x_ik - x_(start+b)k
             sq = np.einsum("kbi,kbi->bi", diff, diff)
-            w = scaled / (sq + g2) ** (0.5 * dim)
+            sq += g2
+            if sq.max() < overflow:
+                sq **= 0.5 * dim
+            else:
+                big = sq >= overflow  # before the power, whose finite results may pass it
+                np.power(sq, 0.5 * dim, out=sq, where=~big)
+                sq[big] = np.inf
+            w = scaled / sq
             w[np.arange(stop - start), np.arange(start, stop)] = 0.0
             out[start:stop] = np.einsum("bi,kbi->bk", w, diff)
             if not np.isfinite(out[start:stop]).all():
@@ -187,6 +203,10 @@ def _interaction_sum(x: np.ndarray, normalized_losses: np.ndarray, gamma: float,
                 if bad.size:
                     b, i = bad[0]
                     raise ValueError(f"non-finite interaction term for particle pair ({i}, {start + b})")
+            # free this block before the next one allocates: with two blocks
+            # live the heap can outgrow malloc's trim threshold, and then its
+            # pages are returned and faulted in again on every call
+            del diff, sq, w
     return out
 
 
@@ -241,9 +261,6 @@ def step(ensemble: Ensemble, loss_model, gamma: float, eta: float) -> Ensemble:
     fresh particle array, so the result is independent of any per-particle
     update order.
     """
-    try:
-        normalized_losses, grads = evaluate_losses(loss_model, ensemble)
-        displacements = flow_update(ensemble, normalized_losses, grads, gamma, eta)
-    except ValueError as exc:
-        raise ValueError(f"step {ensemble.step_index}: {exc}") from exc
+    normalized_losses, grads = evaluate_losses(loss_model, ensemble)
+    displacements = flow_update(ensemble, normalized_losses, grads, gamma, eta)
     return Ensemble(ensemble.particles + displacements, ensemble.step_index + 1)

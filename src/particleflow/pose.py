@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from . import rng
 
@@ -35,6 +34,8 @@ class PoseState:
         object.__setattr__(self, "rotation", w)
 
     def rotation_matrix(self) -> np.ndarray:
+        from scipy.spatial.transform import Rotation  # see PoseRegistrationLoss._residuals
+
         return Rotation.from_rotvec(self.rotation).as_matrix()
 
 
@@ -75,6 +76,8 @@ def mean_pose(particles: np.ndarray) -> PoseState:
 
 def random_rotation_vectors(gen: np.random.Generator, count: int) -> np.ndarray:
     """Rotation vectors of rotations drawn uniformly on SO(3) (via quaternions)."""
+    from scipy.spatial.transform import Rotation  # see PoseRegistrationLoss._residuals
+
     quats = gen.standard_normal((count, 4))
     quats /= np.linalg.norm(quats, axis=1, keepdims=True)
     return Rotation.from_quat(quats).as_rotvec()
@@ -152,6 +155,10 @@ class PoseRegistrationLoss:
         """Rotation matrices (n, 3, 3) and residuals resid[n, i, k] of
         R(w_n) m_k + T_n - o_k, coordinate-major so that every reduction
         runs along the K points."""
+        # imported here: at module level scipy.spatial would load at the
+        # start-up of every CLI call, also of the protocols that never pose
+        from scipy.spatial.transform import Rotation
+
         n = x.shape[0]
         # copy: from_rotvec needs a writable, contiguous buffer and x may be
         # a read-only ensemble view

@@ -65,6 +65,32 @@ def naive_flow_displacements(particles, losses, grads, gamma, eta):
     return out
 
 
+def plain_power_interaction_sum(x, normalized_losses, gamma, dim, budget=1 << 16):
+    """flow._interaction_sum with every kernel base raised by `**`, also where
+    the power overflows to inf: the oracle its overflow skip must match bit
+    for bit (naive_flow_displacements raises OverflowError on such clouds)."""
+    n, d = x.shape
+    xt = np.ascontiguousarray(x.T)
+    scaled = (dim - 2.0) * normalized_losses
+    g2 = gamma * gamma
+    rows = max(1, min(n, budget // (d * n)))
+    out = np.empty_like(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            diff = xt[:, None, :] - xt[:, start:stop, None]  # diff[k, b, i] = x_ik - x_(start+b)k
+            sq = np.einsum("kbi,kbi->bi", diff, diff)
+            w = scaled / (sq + g2) ** (0.5 * dim)
+            w[np.arange(stop - start), np.arange(start, stop)] = 0.0
+            out[start:stop] = np.einsum("bi,kbi->bk", w, diff)
+            if not np.isfinite(out[start:stop]).all():
+                bad = np.argwhere(~np.isfinite(w[None, :, :] * diff).all(axis=0))
+                if bad.size:
+                    b, i = bad[0]
+                    raise ValueError(f"non-finite interaction term for particle pair ({i}, {start + b})")
+    return out
+
+
 def pair_summand(x_i, x_j, centered_loss_i, gamma, d):
     """Interaction summand applied to particle j by particle i (before eta)."""
     x_i = np.asarray(x_i, dtype=float)

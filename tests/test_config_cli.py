@@ -258,5 +258,5 @@ def test_cli_gradient_coefficient_overflow_fails_flow_runs(tmp_path):
     manifest = (tmp_path / "runs.csv.manifest.txt").read_text().splitlines()
     reasons = [line for line in manifest if line.startswith("run_failed.")]
     assert len(reasons) == 3
-    assert all(line.endswith("step 0: gradient coefficient C * gamma**(2-d) overflows "
+    assert all(line.endswith("step=1: gradient coefficient C * gamma**(2-d) overflows "
                              "(gamma=1e-100, dim=10)") for line in reasons)

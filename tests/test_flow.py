@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from particleflow.flow import (
     step,
 )
 
-from reference import QuadraticWellLoss, naive_flow_displacements, pair_summand
+from reference import QuadraticWellLoss, naive_flow_displacements, pair_summand, plain_power_interaction_sum
 
 
 def centered(losses):
@@ -185,6 +186,9 @@ def _adversarial_cloud(case):
         "d3": (30, 3, 0.7, 1.0),
         "d50": (15, 50, 1.0, 0.1),
         "tiny_gamma": (16, 10, 1e-3, 1e-3),
+        # pair bases around float_max**(1/5), so that about 40% of the
+        # kernel powers overflow to inf
+        "exploded": (20, 10, 0.5, 1.5e30),
     }[case]
     x = spread * gen.standard_normal((n, d))
     if case == "offset_1e6":
@@ -209,7 +213,7 @@ def test_interaction_kernel_matches_naive_double_loop_on_adversarial_clouds(case
     np.testing.assert_allclose(disp, oracle, rtol=1e-12, atol=1e-15)
 
 
-@pytest.mark.parametrize("case", ["offset_1e6", "coincident", "d50"])
+@pytest.mark.parametrize("case", ["offset_1e6", "coincident", "d50", "exploded"])
 def test_interaction_kernel_is_bit_stable_for_any_block_split(case, monkeypatch):
     x, losses, gamma = _adversarial_cloud(case)
     n, d = x.shape
@@ -218,6 +222,66 @@ def test_interaction_kernel_is_bit_stable_for_any_block_split(case, monkeypatch)
         monkeypatch.setattr(flow, "_BUDGET", rows * d * n)
         outputs.append(flow_update(Ensemble(x), centered(losses), np.zeros((n, d)), gamma, 1.0))
     assert all(np.array_equal(outputs[0], out) for out in outputs[1:])
+
+
+def _kernel_outcome(kernel, x, normalized, gamma):
+    """A kernel's output as bytes (so signed zeros count), or its error message."""
+    try:
+        return kernel(x, normalized, gamma, x.shape[1]).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _signed_losses(gen, n):
+    """Normalized losses that are negative, positive, +0.0 and -0.0."""
+    normalized = centered(gen.standard_normal(n))
+    normalized[:3] = [0.0, -0.0, 0.0]
+    return normalized
+
+
+@pytest.mark.parametrize("scale", [1e40, 1e66, 1e147])
+@pytest.mark.parametrize("d", [3, 6, 10, 50])
+def test_interaction_kernel_matches_plain_power_on_exploded_clouds(d, scale):
+    # Diverging runs blow the cloud up this far; wherever (sq + g2)**(d/2)
+    # overflows, the kernel sets inf without the power, to the same bits.
+    gen = np.random.default_rng(d)
+    x = scale * gen.standard_normal((30, d))
+    normalized = _signed_losses(gen, 30)
+    expected = _kernel_outcome(plain_power_interaction_sum, x, normalized, 0.5)
+    assert _kernel_outcome(flow._interaction_sum, x, normalized, 0.5) == expected
+
+
+@pytest.mark.parametrize("d", [3, 4, 6, 10, 50])
+def test_interaction_kernel_matches_plain_power_at_the_overflow_threshold(d, monkeypatch):
+    # Particle 0 at the origin, the others on one axis at squared distances
+    # within 1e-8 (and 1e-12) relative of float_max**(2/d), where the power
+    # starts to overflow; the other pairs are close and their powers small.
+    edge = math.exp(flow._LOG_FLOAT_MAX / (0.5 * d))
+    rel = np.concatenate([np.linspace(-1e-8, 1e-8, 41), [-1e-12, -1e-13, 1e-13, 1e-12]])
+    x = np.zeros((rel.size + 1, d))
+    x[1:, 0] = np.sqrt(edge * (1.0 + rel))
+    with np.errstate(over="ignore"):
+        powers = (x[1:, 0] ** 2 + 0.25) ** (0.5 * d)
+    assert np.isfinite(powers).any() and np.isinf(powers).any()
+    normalized = _signed_losses(np.random.default_rng(d), x.shape[0])
+    for rows in (1, 7, x.shape[0]):
+        budget = rows * d * x.shape[0]
+        monkeypatch.setattr(flow, "_BUDGET", budget)
+        oracle = functools.partial(plain_power_interaction_sum, budget=budget)
+        assert _kernel_outcome(flow._interaction_sum, x, normalized, 0.5) == \
+            _kernel_outcome(oracle, x, normalized, 0.5)
+
+
+def test_interaction_kernel_matches_plain_power_when_differences_overflow():
+    # x_i - x_j overflows to inf: inf bases give 0 * inf summands, and both
+    # kernels name the same first pair
+    gen = np.random.default_rng(5)
+    x = gen.standard_normal((6, 10))
+    x[2, 3], x[4, 3] = 1e308, -1e308
+    normalized = _signed_losses(gen, 6)
+    outcome = _kernel_outcome(flow._interaction_sum, x, normalized, 0.5)
+    assert outcome == _kernel_outcome(plain_power_interaction_sum, x, normalized, 0.5)
+    assert outcome == "non-finite interaction term for particle pair (4, 2)"
 
 
 def test_flow_update_self_term_is_exactly_zero():
@@ -346,7 +410,7 @@ def test_run_reports_step_index_on_failure():
             return np.zeros_like(x)
 
     ensemble = Ensemble(np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="^step 2: non-finite loss for particle 0 at step 2$"):
+    with pytest.raises(ValueError, match="^non-finite loss for particle 0 at step 2$"):
         for _ in range(10):
             ensemble = step(ensemble, ExplodingLoss(), 1.0, 1.0)
     assert ensemble.step_index == 2
@@ -411,11 +475,11 @@ def test_ensemble_particles_are_read_only():
 
 
 def test_flow_step_validation():
-    with pytest.raises(ValueError, match="^step 0: kernel constant requires dim >= 3, got 2$"):
+    with pytest.raises(ValueError, match="^kernel constant requires dim >= 3, got 2$"):
         step(Ensemble(np.zeros((2, 2))), QuadraticWellLoss(np.zeros(2)), 1.0, 1.0)
-    with pytest.raises(ValueError, match="^step 0: gamma must be positive, got 0.0$"):
+    with pytest.raises(ValueError, match="^gamma must be positive, got 0.0$"):
         step(Ensemble(np.zeros((2, 3))), QuadraticWellLoss(np.zeros(3)), 0.0, 1.0)
-    with pytest.raises(ValueError, match="^step 0: eta must be positive, got -0.1$"):
+    with pytest.raises(ValueError, match="^eta must be positive, got -0.1$"):
         step(Ensemble(np.zeros((2, 3))), QuadraticWellLoss(np.zeros(3)), 1.0, -0.1)
 
 
