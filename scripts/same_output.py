@@ -11,14 +11,16 @@ powers overflow at d=3 and d=50), once from a checkout of BASE_REV
 tree. Each pair of CSVs is compared byte for byte, and each pair of
 manifests line for line without its `#` header lines (timestamp and
 elapsed time) and its `out=` line (the two trees write to different
-paths). One line per file is printed, and the exit status is 1 if any
+paths). One verdict per file is printed, and the exit status is 1 if any
 pair differs or a run fails. A differing CSV pair also gets its row
 counts, how many rows match on run, step and metric, the largest
 relative deviation of the ridge and value columns over the matched rows,
 and whether both hold the same run_failed rows (same run and step). A
-differing manifest pair gets its first differing line.
+differing manifest pair gets every line only in BASE_REV's manifest
+(`-`) and every line only in the working tree's (`+`).
 """
 import csv
+import difflib
 import io
 import math
 import os
@@ -26,7 +28,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from itertools import zip_longest
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -112,12 +113,14 @@ def _manifest_lines(path: Path) -> list[str]:
 
 
 def _compare_manifests(left: Path, right: Path) -> str:
-    """'identical', or the first line at which two manifests differ."""
-    pairs = zip_longest(_manifest_lines(left), _manifest_lines(right), fillvalue="<end of manifest>")
-    for k, (a, b) in enumerate(pairs, start=1):
-        if a != b:
-            return f"DIFFERENT at line {k}: base {a!r}, work {b!r}"
-    return "identical"
+    """'identical', or every line only in the base manifest (`-`) and every
+    line only in the work manifest (`+`), one per line, from a zero-context
+    diff."""
+    diff = list(difflib.unified_diff(_manifest_lines(left), _manifest_lines(right), n=0, lineterm=""))
+    changed = [line for line in diff[2:] if not line.startswith("@@")]  # past the ---/+++ header
+    if not changed:
+        return "identical"
+    return "DIFFERENT:\n" + "\n".join(f"  {line}" for line in changed)
 
 
 def run_all(tree: Path, out_dir: Path) -> dict[str, str | None]:

@@ -1,9 +1,11 @@
 """Command-line benchmark runner.
 
-Subcommands: synthetic, pose, theorem, summarize. Configuration comes from
-an optional key=value file plus flags; flags win. Each run writes a CSV of
-tidy metric rows and a sibling manifest recording the fully resolved
-configuration.
+Subcommands: synthetic, pose, theorem, summarize. Each experiment takes
+only the keys it reads (`config.EXPERIMENT_KEYS`), from an optional
+key=value file and from flags, which win. A key's flag is `--` plus the
+key with `-` for `_`; `methods` is `--method`. Any other key is rejected.
+Each run writes a CSV of tidy metric rows and a sibling manifest recording
+the resolved value of every key it read.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import sys
 import time
 
 from . import experiments
-from .config import _KEY_PARSERS, make_config, parse_config_file
+from .config import EXPERIMENT_KEYS, KEYS, make_config, parse_config_file
 
 # sweep runners; each also reports why its failed runs failed
 _SWEEPS = {
@@ -21,41 +23,19 @@ _SWEEPS = {
     "pose": experiments.run_pose,
 }
 
-_COMMON_FLAGS = [
-    ("--dims", "dims", "comma-separated dimensions"),
-    ("--n-particles", "n_particles", "comma-separated particle counts"),
-    ("--n-steps", "n_steps", "filter iterations"),
-    ("--seeds", "seeds", "comma-separated seeds"),
-    ("--method", "methods", "comma-separated methods (flow,mcl,gd)"),
-    ("--gamma", "gamma", "kernel width or 'auto'"),
-    ("--grid-center", "grid_center", "grid center or 'auto'"),
-    ("--grid-orders", "grid_orders", "orders of magnitude spanned by the grid"),
-    ("--grid-points-per-order", "grid_points_per_order", "grid resolution"),
-    ("--out", "out", "output CSV path"),
-]
 
-_EXTRA_FLAGS = {
-    "pose": [
-        ("--pose-points", "pose_points", "number of point correspondences"),
-        ("--sigma", "sigma", "observation noise standard deviation (meters)"),
-    ],
-    "theorem": [
-        ("--eps", "eps", "total field discrepancy bound"),
-        ("--t-end", "t_end", "integration horizon"),
-        ("--dt", "dt", "Euler step (must be <= 1e-3 * t_end)"),
-    ],
-    "synthetic": [],
-}
+def _flag(key: str) -> str:
+    return "--method" if key == "methods" else "--" + key.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="particleflow", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in ("synthetic", "pose", "theorem"):
+    for name, keys in EXPERIMENT_KEYS.items():
         sub = subparsers.add_parser(name, help=f"run the {name} experiment")
         sub.add_argument("--config", help="key=value config file ('#' comments)")
-        for flag, dest, help_text in _COMMON_FLAGS + _EXTRA_FLAGS[name]:
-            sub.add_argument(flag, dest=dest, metavar="V", help=help_text)
+        for key in keys:
+            sub.add_argument(_flag(key), dest=key, metavar="V", help=KEYS[key][2])
     summarize = subparsers.add_parser("summarize", help="aggregate a results CSV over seeds")
     summarize.add_argument("input", help="CSV produced by an experiment run")
     summarize.add_argument("--out", required=True, help="output CSV path")
@@ -65,13 +45,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _flag_overrides(args: argparse.Namespace) -> dict:
     overrides = {}
     for key, raw in vars(args).items():
-        if key in ("command", "config", "input") or raw is None:
+        if key not in KEYS or raw is None:
             continue
-        converter, description = _KEY_PARSERS[key]
+        parser, expected, _ = KEYS[key]
         try:
-            overrides[key] = converter(raw)
+            overrides[key] = parser(raw)
         except ValueError as exc:
-            raise SystemExit(f"invalid value for --{key.replace('_', '-')} ({exc}); expected {description}")
+            raise SystemExit(f"invalid value for {_flag(key)} ({exc}); expected {expected}")
     return overrides
 
 
@@ -89,15 +69,13 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        file_values = parse_config_file(args.config) if args.config else {}
+        file_values = parse_config_file(args.config, args.command) if args.config else {}
         config = make_config(args.command, file_values, _flag_overrides(args))
         # resolve every (method, d) grid up front: one that no run can use
         # (say, an overflowing automatic center) is a configuration error
         for d in config.dims:
-            gamma = experiments.resolve_gamma(config, d)
             for method in config.methods:
-                experiments.grid_values(experiments.grid_center(config, method, d, gamma),
-                                        config.grid_orders, config.grid_points_per_order)
+                experiments.resolve_grid(config, method, d)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     failures: list[str] = []  # why each run_failed row failed, in row order

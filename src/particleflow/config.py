@@ -1,12 +1,26 @@
-"""Experiment configuration: key=value files, flag overrides, validation."""
+"""Experiment configuration: key=value files, flag overrides, validation.
+
+EXPERIMENT_KEYS names the keys each experiment reads: they are its CLI
+flags, the keys its config file may hold and the configuration lines of
+its manifest. Any other key is rejected.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 VALID_METHODS = ("flow", "mcl", "gd")
-EXPERIMENTS = ("synthetic", "pose", "theorem")
 
-# Per-experiment defaults for fields left unset by file and flags.
+_SWEEP_KEYS = ("n_particles", "n_steps", "seeds", "methods", "gamma", "grid_center",
+               "grid_orders", "grid_points_per_order", "out")
+EXPERIMENT_KEYS = {
+    "synthetic": ("dims",) + _SWEEP_KEYS,
+    "pose": _SWEEP_KEYS + ("pose_points", "sigma"),
+    "theorem": ("dims", "n_particles", "seeds", "eps", "t_end", "dt", "out"),
+}
+
+# Per-experiment defaults for fields left unset by file and flags. Pose
+# reads no dims key: its particles are 6-D poses, and this (6,) is the
+# dimension every pose sweep, grid check and manifest line uses.
 _EXPERIMENT_DEFAULTS = {
     "synthetic": {"dims": (10,), "n_particles": (100,), "methods": ("flow", "mcl")},
     "pose": {"dims": (6,), "n_particles": (80,), "methods": ("flow", "gd")},
@@ -22,7 +36,7 @@ class ExperimentConfig:
     n_steps: int = 50
     seeds: tuple = tuple(range(10))
     methods: tuple = ("flow", "mcl")
-    gamma: float | None = None  # None: 0.5 synthetic / 8.0 pose, see resolve_gamma
+    gamma: float | None = None  # None: 0.5 synthetic / 8.0 pose, see experiments.resolve_grid
     # log-uniform hyperparameter grid spanning grid_orders orders of magnitude;
     # None picks a scale-aware center per method and dimension (see
     # experiments.auto_grid_center), recorded in the run manifest either way
@@ -45,15 +59,21 @@ class ExperimentConfig:
             raise ValueError(f"grid orders must be >= 1, got {self.grid_orders}")
         if self.grid_points_per_order < 1:
             raise ValueError(f"grid points_per_order must be >= 1, got {self.grid_points_per_order}")
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
+        if self.experiment not in EXPERIMENT_KEYS:
+            raise ValueError(f"experiment must be one of {tuple(EXPERIMENT_KEYS)}, got {self.experiment!r}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if not self.seeds:
-            raise ValueError("seeds must be nonempty")
-        if not self.dims:
-            raise ValueError("dims must be nonempty")
-        if not self.n_particles or any(n < 1 for n in self.n_particles):
+        # theorem runs no methods; a repeated value would run twice, or (seeds)
+        # once under a manifest naming it twice
+        for key in ("dims", "n_particles", "seeds", "methods"):
+            values = getattr(self, key)
+            if not values and not (key == "methods" and self.experiment == "theorem"):
+                raise ValueError(f"{key} must be nonempty")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{key} must hold distinct values, got {','.join(map(str, values))}")
+            if self.experiment == "theorem" and key in ("dims", "n_particles") and len(values) != 1:
+                raise ValueError(f"theorem takes one {key} value, got {','.join(map(str, values))}")
+        if any(n < 1 for n in self.n_particles):
             raise ValueError(f"n_particles must all be >= 1, got {self.n_particles}")
         if self.experiment == "synthetic" and any(d < 3 for d in self.dims):
             raise ValueError(f"synthetic dims must all be >= 3, got {self.dims}")
@@ -74,25 +94,17 @@ class ExperimentConfig:
             raise ValueError("t_end and dt must be positive")
 
     def manifest_items(self) -> list[tuple[str, str]]:
-        """Resolved configuration as sorted (key, value) text pairs."""
-        items = []
-        for f in fields(self):
-            value = getattr(self, f.name)
+        """The experiment and each key it reads, resolved, as sorted (key, value) text pairs."""
+        items = [("experiment", self.experiment)]
+        for key in EXPERIMENT_KEYS[self.experiment]:
+            value = getattr(self, key)
             if value is None:  # gamma and grid_center
-                items.append((f.name, "auto"))
+                items.append((key, "auto"))
             elif isinstance(value, tuple):
-                items.append((f.name, ",".join(str(v) for v in value)))
+                items.append((key, ",".join(str(v) for v in value)))
             else:
-                items.append((f.name, str(value)))
+                items.append((key, str(value)))
         return sorted(items)
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
 
 
 def _parse_int_list(text: str) -> tuple:
@@ -116,31 +128,32 @@ def _parse_float_or_auto(text: str):
     return float(text)
 
 
-# key -> (converter, human description used in error messages)
-_KEY_PARSERS = {
-    "dims": (_parse_int_list, "comma-separated integers"),
-    "n_particles": (_parse_int_list, "comma-separated integers"),
-    "n_steps": (_parse_int, "integer"),
-    "seeds": (_parse_int_list, "comma-separated integers"),
-    "methods": (_parse_methods, "comma-separated subset of flow,mcl,gd"),
-    "gamma": (_parse_float_or_auto, "positive number or 'auto'"),
-    "grid_center": (_parse_float_or_auto, "positive number or 'auto'"),
-    "grid_orders": (_parse_int, "integer"),
-    "grid_points_per_order": (_parse_int, "integer"),
-    "out": (str, "path"),
-    "pose_points": (_parse_int, "integer"),
-    "sigma": (_parse_float, "number"),
-    "eps": (_parse_float, "number"),
-    "t_end": (_parse_float, "number"),
-    "dt": (_parse_float, "number"),
+# key -> (parser, expected type named in error messages, flag help text)
+KEYS = {
+    "dims": (_parse_int_list, "comma-separated integers", "comma-separated dimensions"),
+    "n_particles": (_parse_int_list, "comma-separated integers", "comma-separated particle counts"),
+    "n_steps": (int, "integer", "filter iterations"),
+    "seeds": (_parse_int_list, "comma-separated integers", "comma-separated seeds"),
+    "methods": (_parse_methods, "comma-separated subset of flow,mcl,gd",
+                "comma-separated methods (flow,mcl,gd)"),
+    "gamma": (_parse_float_or_auto, "positive number or 'auto'", "kernel width or 'auto'"),
+    "grid_center": (_parse_float_or_auto, "positive number or 'auto'", "grid center or 'auto'"),
+    "grid_orders": (int, "integer", "orders of magnitude spanned by the grid"),
+    "grid_points_per_order": (int, "integer", "grid resolution"),
+    "out": (str, "path", "output CSV path"),
+    "pose_points": (int, "integer", "number of point correspondences"),
+    "sigma": (float, "number", "observation noise standard deviation (meters)"),
+    "eps": (float, "number", "total field discrepancy bound"),
+    "t_end": (float, "number", "integration horizon"),
+    "dt": (float, "number", "Euler step (must be <= 1e-3 * t_end)"),
 }
 
 
-def parse_config_file(path: str) -> dict:
+def parse_config_file(path: str, experiment: str) -> dict:
     """Read a UTF-8 key=value config file ('#' starts a comment).
 
-    Unknown keys and malformed values are rejected with the offending key,
-    line number, and expected type.
+    Keys the experiment does not read and malformed values are rejected
+    with the offending key, line number, and expected type.
     """
     values: dict = {}
     with open(path, encoding="utf-8") as handle:
@@ -153,14 +166,14 @@ def parse_config_file(path: str) -> dict:
             key, _, text = line.partition("=")
             key = key.strip()
             text = text.strip()
-            if key not in _KEY_PARSERS:
+            if key not in EXPERIMENT_KEYS[experiment]:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            converter, description = _KEY_PARSERS[key]
+            parser, expected, _ = KEYS[key]
             try:
-                values[key] = converter(text)
+                values[key] = parser(text)
             except ValueError as exc:
                 raise ValueError(
-                    f"{path}:{lineno}: invalid value for {key!r} ({exc}); expected {description}"
+                    f"{path}:{lineno}: invalid value for {key!r} ({exc}); expected {expected}"
                 ) from None
     return values
 
@@ -169,8 +182,8 @@ def make_config(experiment: str, file_values: dict | None = None, overrides: dic
     """Merge per-experiment defaults, file values, and overrides (which win)."""
     merged: dict = dict(_EXPERIMENT_DEFAULTS[experiment])
     for source in (file_values or {}), (overrides or {}):
-        for key, value in source.items():
-            if value is None and key not in ("gamma", "grid_center"):
-                continue
-            merged[key] = value
+        for key in source:
+            if key not in EXPERIMENT_KEYS[experiment]:
+                raise ValueError(f"unknown key {key!r} for the {experiment} experiment")
+        merged.update(source)
     return ExperimentConfig(experiment=experiment, **merged)

@@ -33,6 +33,12 @@ KL_METRICS = ("kl_fit_vs_expected", "kl_expected_vs_fit", "kl_fit_vs_exact", "kl
 SELECTION_METRIC = "kl_fit_vs_expected"
 POSE_METRICS = ("trans_err_cm", "rot_err_deg")
 BOUND_SLACK = 1.05  # covers Euler discretization in the divergence check
+# where each experiment's particles start, as its manifest records it
+_INIT_DISTRIBUTIONS = {
+    "synthetic": "standard_normal_prior",
+    "pose": "translations N(0, 0.3^2) per axis, uniform rotations",
+    "theorem": "standard_normal, one draw shared by both particle sets",
+}
 
 
 def _fmt(value) -> str:
@@ -63,20 +69,6 @@ def grid_values(center: float, orders: int, points_per_order: int) -> list[float
     return values
 
 
-def resolve_gamma(config: ExperimentConfig, d: int) -> float:
-    """Configured kernel width, or a calibrated per-experiment default.
-
-    The synthetic task works best with a width near the late-stage
-    inter-particle spacing (0.5); pose particles mix meters with rotation
-    vectors spanning 2*pi, so their kernel is wide (8.0, about the
-    diameter of the initial pose cloud). Both defaults were grid-checked
-    at desk scale and are recorded in the run manifest.
-    """
-    if config.gamma is not None:
-        return float(config.gamma)
-    return 8.0 if config.experiment == "pose" else 0.5
-
-
 def auto_grid_center(method: str, experiment: str, d: int, gamma: float, sigma_eff: float = 1.0, n_points: int = 1) -> float:
     """Scale-aware grid center for the method's swept hyperparameter.
 
@@ -100,12 +92,24 @@ def auto_grid_center(method: str, experiment: str, d: int, gamma: float, sigma_e
     return base
 
 
-def grid_center(config: ExperimentConfig, method: str, d: int, gamma: float) -> float:
-    """Configured grid center, or the scale-aware default for this experiment."""
-    if config.grid_center is not None:
-        return config.grid_center
-    sigma_eff = config.sigma if config.sigma > 0 else 1.0
-    return auto_grid_center(method, config.experiment, d, gamma, sigma_eff, config.pose_points)
+def resolve_grid(config: ExperimentConfig, method: str, d: int) -> tuple[float, float, list[float]]:
+    """Kernel width, grid center and grid values of the method's sweep at dimension d.
+
+    gamma=auto is 0.5 for the synthetic task, near its late-stage
+    inter-particle spacing; pose particles mix meters with rotation
+    vectors spanning 2*pi, so their kernel is wide (8.0, about the diameter
+    of the initial pose cloud). Both defaults were grid-checked at desk
+    scale. grid_center=auto is the scale-aware center of auto_grid_center.
+    Raises ValueError when no usable grid exists.
+    """
+    gamma = 8.0 if config.experiment == "pose" else 0.5
+    if config.gamma is not None:
+        gamma = float(config.gamma)
+    center = config.grid_center
+    if center is None:
+        sigma_eff = config.sigma if config.sigma > 0 else 1.0
+        center = auto_grid_center(method, config.experiment, d, gamma, sigma_eff, config.pose_points)
+    return gamma, center, grid_values(center, config.grid_orders, config.grid_points_per_order)
 
 
 def _trajectory(method, value, problem, init, gamma, seed, n_steps):
@@ -124,7 +128,7 @@ def _trajectory(method, value, problem, init, gamma, seed, n_steps):
         yield ensemble.step_index, ensemble.particles
 
 
-def _sweep(config: ExperimentConfig, d: int, n: int, gamma: float, instances: dict, selection: str,
+def _sweep(config: ExperimentConfig, d: int, n: int, instances: dict, selection: str,
            failures: list[str] | None) -> list[tuple]:
     """Grid search of every configured method over per-seed instances.
 
@@ -142,10 +146,10 @@ def _sweep(config: ExperimentConfig, d: int, n: int, gamma: float, instances: di
     experiment, T = config.experiment, config.n_steps
     rows: list[tuple] = []
     for method in config.methods:
+        gamma, _, values = resolve_grid(config, method, d)
         gamma_col = gamma if method == "flow" else None
         best_value, best_mean = None, math.inf
-        for value in grid_values(grid_center(config, method, d, gamma), config.grid_orders,
-                                 config.grid_points_per_order):
+        for value in values:
             eta, epsilon = (None, value) if method == "mcl" else (value, None)
             finals = []
             for seed, (problem, init, measure) in instances.items():
@@ -230,7 +234,6 @@ def run_synthetic(config: ExperimentConfig, failures: list[str] | None = None) -
     """
     rows: list[tuple] = []
     for d in config.dims:
-        gamma = resolve_gamma(config, d)
         for n in config.n_particles:
             instances = {}
             for seed in config.seeds:
@@ -238,7 +241,7 @@ def run_synthetic(config: ExperimentConfig, failures: list[str] | None = None) -
                 measure = _kl_measure(problem, config.n_steps)
                 init = rng.stream(seed, rng.INIT).standard_normal((n, d))
                 instances[seed] = (problem, init, measure)
-            rows.extend(_sweep(config, d, n, gamma, instances, SELECTION_METRIC, failures))
+            rows.extend(_sweep(config, d, n, instances, SELECTION_METRIC, failures))
     return rows
 
 
@@ -274,15 +277,14 @@ def run_pose(config: ExperimentConfig, failures: list[str] | None = None) -> lis
     minimizes the mean final translation error across seeds. A list passed
     as failures receives the reason for each run_failed row (see `_sweep`).
     """
-    d = 6
-    gamma = resolve_gamma(config, d)
+    (d,) = config.dims
     rows: list[tuple] = []
     for n in config.n_particles:
         instances = {}
         for seed in config.seeds:
             problem = make_pose_problem(config.pose_points, config.sigma, seed)
             instances[seed] = (problem, _pose_init(seed, n), _pose_measure(problem.true_pose))
-        rows.extend(_sweep(config, d, n, gamma, instances, "trans_err_cm", failures))
+        rows.extend(_sweep(config, d, n, instances, "trans_err_cm", failures))
     return rows
 
 
@@ -316,8 +318,7 @@ def run_theorem(config: ExperimentConfig) -> list[tuple]:
     (recomputing the bound with half the true Lipschitz constant must
     break it).
     """
-    d = config.dims[0]
-    n = config.n_particles[0]
+    (d,), (n,) = config.dims, config.n_particles
 
     def row(seed, step, metric, value):
         return _row("theorem", "flow_pair", d, n, seed, None, None, None, None, step, metric, value, "ok")
@@ -374,17 +375,18 @@ def write_manifest(path: str, config: ExperimentConfig, elapsed_seconds: float,
         f"# generated_at={datetime.datetime.now(datetime.timezone.utc).isoformat()}",
         f"# elapsed_seconds={elapsed_seconds:.3f}",
     ]
-    items = config.manifest_items()
-    items.append(("library_version", __version__))
-    items.append(("rng_algorithm", rng.GENERATOR_NAME))
-    items.append(("init_distribution", "standard_normal_prior"))
-    items.append(("gd_eta_convention", "absorbs the kernel prefactor C*gamma**(2-d)"))
+    items = dict(config.manifest_items())
+    items["library_version"] = __version__
+    items["rng_algorithm"] = rng.GENERATOR_NAME
+    items["init_distribution"] = _INIT_DISTRIBUTIONS[config.experiment]
+    if "gd" in config.methods:
+        items["gd_eta_convention"] = "absorbs the kernel prefactor C*gamma**(2-d)"
     for d in config.dims:
-        gamma = resolve_gamma(config, d)
-        items.append((f"gamma_resolved.d{d}", repr(gamma)))
         for method in config.methods:
-            items.append((f"grid_center_resolved.{method}.d{d}", repr(grid_center(config, method, d, gamma))))
-    for key, value in sorted(items):
+            gamma, center, _ = resolve_grid(config, method, d)
+            items[f"gamma_resolved.d{d}"] = repr(gamma)
+            items[f"grid_center_resolved.{method}.d{d}"] = repr(center)
+    for key, value in sorted(items.items()):
         lines.append(f"{key}={value}")
     lines.extend(f"run_failed.{k}={reason}" for k, reason in enumerate(failures, start=1))
     with open(path, "w", encoding="utf-8") as handle:

@@ -1,7 +1,9 @@
+import argparse
+
 import numpy as np
 import pytest
 
-from particleflow.cli import main
+from particleflow.cli import build_parser, main
 from particleflow.config import ExperimentConfig, make_config, parse_config_file
 from particleflow.experiments import HEADER, grid_values, summarize_rows
 
@@ -33,7 +35,7 @@ def test_config_file_parsing(tmp_path):
         "gamma=auto\n"
         "methods=flow\n"
     )
-    values = parse_config_file(str(path))
+    values = parse_config_file(str(path), "synthetic")
     cfg = make_config("synthetic", values)
     assert cfg.dims == (5, 10)
     assert cfg.n_steps == 25
@@ -45,7 +47,7 @@ def test_config_file_parsing(tmp_path):
 def test_empty_config_file_yields_defaults(tmp_path):
     path = tmp_path / "empty.cfg"
     path.write_text("")
-    cfg = make_config("synthetic", parse_config_file(str(path)))
+    cfg = make_config("synthetic", parse_config_file(str(path), "synthetic"))
     assert cfg == make_config("synthetic")
 
 
@@ -53,22 +55,23 @@ def test_config_file_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("n_steps=10\nwibble=1\n")
     with pytest.raises(ValueError, match=r"bad\.cfg:2.*wibble"):
-        parse_config_file(str(path))
+        parse_config_file(str(path), "synthetic")
 
 
 def test_config_file_rejects_malformed_value_with_line_and_type(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("\n\nn_steps=soon\n")
     with pytest.raises(ValueError, match=r"bad\.cfg:3.*n_steps.*integer"):
-        parse_config_file(str(path))
+        parse_config_file(str(path), "synthetic")
 
 
 def test_flags_override_file_values(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("n_steps=25\nseeds=0,1\n")
-    cfg = make_config("synthetic", parse_config_file(str(path)), {"n_steps": 30})
+    path.write_text("n_steps=25\nseeds=0,1\ngamma=2\n")
+    cfg = make_config("synthetic", parse_config_file(str(path), "synthetic"), {"n_steps": 30, "gamma": None})
     assert cfg.n_steps == 30
     assert cfg.seeds == (0, 1)
+    assert cfg.gamma is None  # a flag's auto overrides the file's value
 
 
 def test_invariants_rejected():
@@ -93,19 +96,19 @@ def test_invariants_rejected():
 
 
 # resolved configuration of each experiment with no file and no flags, as
-# the manifest records it
-_MANIFEST_COMMON = [
-    ("dt", "0.001"), ("eps", "0.1"), ("gamma", "auto"), ("grid_center", "auto"),
-    ("grid_orders", "5"), ("grid_points_per_order", "2"), ("n_steps", "50"),
-    ("out", "results.csv"), ("pose_points", "12"), ("seeds", "0,1,2,3,4,5,6,7,8,9"),
-    ("sigma", "0.005"), ("t_end", "1.0"),
+# the manifest records it: the experiment and each key it reads
+_MANIFEST_COMMON = [("out", "results.csv"), ("seeds", "0,1,2,3,4,5,6,7,8,9")]
+_MANIFEST_SWEEP = [
+    ("gamma", "auto"), ("grid_center", "auto"), ("grid_orders", "5"),
+    ("grid_points_per_order", "2"), ("n_steps", "50"),
 ]
 
 
 @pytest.mark.parametrize("experiment, specific", [
-    ("synthetic", [("dims", "10"), ("methods", "flow,mcl"), ("n_particles", "100")]),
-    ("pose", [("dims", "6"), ("methods", "flow,gd"), ("n_particles", "80")]),
-    ("theorem", [("dims", "3"), ("methods", ""), ("n_particles", "32")]),
+    ("synthetic", _MANIFEST_SWEEP + [("dims", "10"), ("methods", "flow,mcl"), ("n_particles", "100")]),
+    ("pose", _MANIFEST_SWEEP + [("methods", "flow,gd"), ("n_particles", "80"), ("pose_points", "12"),
+                                ("sigma", "0.005")]),
+    ("theorem", [("dims", "3"), ("dt", "0.001"), ("eps", "0.1"), ("n_particles", "32"), ("t_end", "1.0")]),
 ])
 def test_manifest_items_pin_resolved_defaults(experiment, specific):
     expected = sorted(_MANIFEST_COMMON + specific + [("experiment", experiment)])
@@ -141,6 +144,9 @@ def test_cli_theorem_end_to_end(tmp_path, capsys):
     manifest = (tmp_path / "theorem.csv.manifest.txt").read_text()
     assert "rng_algorithm=philox" in manifest
     assert "library_version=" in manifest
+    # theorem sweeps no grid and runs no gradient descent
+    assert "gamma_resolved" not in manifest and "gd_eta_convention" not in manifest
+    assert "init_distribution=standard_normal, one draw shared by both particle sets" in manifest
 
 
 def test_cli_rerun_is_byte_identical(tmp_path):
@@ -225,6 +231,91 @@ def test_cli_config_file_cannot_name_the_experiment(tmp_path):
     with pytest.raises(SystemExit, match=r"pose\.cfg:1: unknown key 'experiment'"):
         main(["synthetic", "--config", str(cfg), "--out", str(tmp_path / "never.csv")])
     assert not (tmp_path / "never.csv").exists()
+
+
+_SWEEP_OPTIONS = {"-h", "--help", "--config", "--n-particles", "--n-steps", "--seeds", "--method",
+                  "--gamma", "--grid-center", "--grid-orders", "--grid-points-per-order", "--out"}
+
+
+@pytest.mark.parametrize("command, options", [
+    ("synthetic", _SWEEP_OPTIONS | {"--dims"}),
+    ("pose", _SWEEP_OPTIONS | {"--pose-points", "--sigma"}),
+    ("theorem", {"-h", "--help", "--config", "--dims", "--n-particles", "--seeds", "--eps",
+                 "--t-end", "--dt", "--out"}),
+])
+def test_each_subcommand_takes_only_the_keys_it_reads(command, options):
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subparsers.choices[command]
+    assert {option for action in sub._actions for option in action.option_strings} == options
+
+
+@pytest.mark.parametrize("argv", [["pose", "--dims", "6"], ["theorem", "--gamma", "3"]])
+def test_cli_rejects_another_experiments_flag(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit):
+        main(argv + ["--out", str(tmp_path / "never.csv")])
+    assert f"unrecognized arguments: {argv[1]} {argv[2]}" in capsys.readouterr().err
+    assert not (tmp_path / "never.csv").exists()
+
+
+def test_config_file_rejects_another_experiments_key(tmp_path):
+    cfg = tmp_path / "synthetic.cfg"
+    cfg.write_text("n_steps=5\nsigma=9\n")
+    with pytest.raises(SystemExit, match=r"^.*synthetic\.cfg:2: unknown key 'sigma'$"):
+        main(["synthetic", "--config", str(cfg), "--out", str(tmp_path / "never.csv")])
+    assert not (tmp_path / "never.csv").exists()
+
+
+@pytest.mark.parametrize("experiment, key, value", [
+    ("synthetic", "sigma", 9.0), ("synthetic", "eps", 3.0), ("pose", "dims", (10,)),
+    ("theorem", "methods", ("flow", "gd")), ("theorem", "n_steps", 5),
+])
+def test_make_config_rejects_another_experiments_key(experiment, key, value):
+    with pytest.raises(ValueError, match=f"unknown key '{key}' for the {experiment} experiment"):
+        make_config(experiment, overrides={key: value})
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--dims", "3,5", "theorem takes one dims value, got 3,5"),
+    ("--n-particles", "8,16", "theorem takes one n_particles value, got 8,16"),
+])
+def test_cli_theorem_takes_one_value_each(tmp_path, flag, value, message):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["theorem", flag, value, "--out", str(tmp_path / "never.csv")])
+    assert str(exc_info.value.code) == message
+    assert not (tmp_path / "never.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    # an empty method list would write a header-only CSV
+    ("--method", ",", "methods must be nonempty"),
+    # seeds key a dict of instances: a repeat would run once under a manifest naming it twice
+    ("--seeds", "0,0", "seeds must hold distinct values, got 0,0"),
+    # a repeated method would run its sweep twice and write two best_final rows
+    ("--method", "flow,flow", "methods must hold distinct values, got flow,flow"),
+    ("--dims", "4,4", "dims must hold distinct values, got 4,4"),
+    ("--n-particles", "8,8", "n_particles must hold distinct values, got 8,8"),
+])
+def test_cli_rejects_empty_and_repeated_list_values(tmp_path, flag, value, message):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["synthetic", flag, value, "--out", str(tmp_path / "never.csv")])
+    assert str(exc_info.value.code) == message
+    assert not (tmp_path / "never.csv").exists()
+
+
+def test_pose_manifest_records_the_grid_it_ran(tmp_path):
+    out = tmp_path / "pose.csv"
+    main(["pose", "--n-particles", "4", "--n-steps", "2", "--seeds", "0", "--method", "flow",
+          "--grid-orders", "2", "--grid-points-per-order", "1", "--out", str(out)])
+    records = [dict(zip(HEADER, line.split(","))) for line in out.read_text().splitlines()[1:]]
+    etas = sorted({float(r["eta"]) for r in records if r["seed"] != ""})
+    assert len(etas) == 3 and {r["d"] for r in records} == {"6"}
+    lines = (tmp_path / "pose.csv.manifest.txt").read_text().splitlines()
+    manifest = dict(line.split("=", 1) for line in lines if not line.startswith("#"))
+    center = float(manifest["grid_center_resolved.flow.d6"])
+    assert center == pytest.approx(np.sqrt(etas[0] * etas[-1]), rel=1e-12)
+    assert manifest["gamma_resolved.d6"] == "8.0"
+    assert manifest["init_distribution"] == "translations N(0, 0.3^2) per axis, uniform rotations"
+    assert "gd_eta_convention" not in manifest and "dims" not in manifest
 
 
 @pytest.mark.parametrize("gamma, orders, what", [

@@ -8,7 +8,7 @@ from particleflow.experiments import (
     _sweep,
     auto_grid_center,
     grid_values,
-    resolve_gamma,
+    resolve_grid,
     run_pose,
     run_synthetic,
     run_theorem,
@@ -119,7 +119,7 @@ def test_sweep_run_failed_row_names_the_failing_step(failing):
     expected = k if failing == "measure" else k + 1
     init = np.random.default_rng(0).standard_normal((4, 2))
     failures = []
-    rows = records(_sweep(cfg, 2, 4, 0.5, {0: (problem, init, measure)}, "loss", failures))
+    rows = records(_sweep(cfg, 2, 4, {0: (problem, init, measure)}, "loss", failures))
     failed = [r for r in rows if r["metric"] == "run_failed"]
     assert [int(r["step"]) for r in failed] == [expected, expected]  # one per grid point
     assert all(f" step={expected}: " in line for line in failures) and len(failures) == 2
@@ -146,10 +146,19 @@ def test_auto_centers_scale_with_kernel_coefficient():
 def test_resolved_gamma_defaults():
     synthetic = make_config("synthetic")
     pose = make_config("pose")
-    assert resolve_gamma(synthetic, 10) == 0.5
-    assert resolve_gamma(pose, 6) == 8.0
+    assert resolve_grid(synthetic, "flow", 10)[0] == 0.5
+    assert resolve_grid(pose, "flow", 6)[0] == 8.0
     explicit = make_config("synthetic", overrides={"gamma": 2.5})
-    assert resolve_gamma(explicit, 10) == 2.5
+    assert resolve_grid(explicit, "mcl", 10)[0] == 2.5
+
+
+def test_resolve_grid_centers_the_grid_it_returns():
+    pose = make_config("pose", overrides={"sigma": 0.01, "pose_points": 10})
+    gamma, center, values = resolve_grid(pose, "gd", 6)
+    assert (gamma, center) == (8.0, auto_grid_center("gd", "pose", 6, 8.0, 0.01, 10))
+    assert values == grid_values(center, 5, 2)
+    explicit = make_config("synthetic", overrides={"grid_center": 3.0, "grid_orders": 2})
+    assert resolve_grid(explicit, "flow", 10)[1:] == (3.0, grid_values(3.0, 2, 2))
 
 
 def test_grid_values_log_uniform_around_center():
