@@ -4,8 +4,10 @@ Subcommands: synthetic, pose, theorem, summarize. Each experiment takes
 only the keys it reads (`config.EXPERIMENT_KEYS`), from an optional
 key=value file and from flags, which win. A key's flag is `--` plus the
 key with `-` for `_`; `methods` is `--method`. Any other key is rejected.
-Each run writes a CSV of tidy metric rows and a sibling manifest recording
-the resolved value of every key it read.
+An experiment runs as `experiments.RUNNERS[name](config)`, which returns
+its CSV rows and why each failed run failed. The CLI writes the rows and a
+sibling manifest recording the resolved value of every key it read, its
+resolved grids and those reasons; theorem also prints its verdict.
 """
 from __future__ import annotations
 
@@ -16,12 +18,6 @@ import time
 
 from . import experiments
 from .config import EXPERIMENT_KEYS, KEYS, make_config, parse_config_file
-
-# sweep runners; each also reports why its failed runs failed
-_SWEEPS = {
-    "synthetic": experiments.run_synthetic,
-    "pose": experiments.run_pose,
-}
 
 
 def _flag(key: str) -> str:
@@ -71,26 +67,21 @@ def main(argv=None) -> int:
     try:
         file_values = parse_config_file(args.config, args.command) if args.config else {}
         config = make_config(args.command, file_values, _flag_overrides(args))
-        # resolve every (method, d) grid up front: one that no run can use
-        # (say, an overflowing automatic center) is a configuration error
-        for d in config.dims:
-            for method in config.methods:
-                experiments.resolve_grid(config, method, d)
+        # resolve every (method, d) grid once, up front: one that no run can
+        # use is a configuration error; the manifest records them all
+        grids = experiments.grid_items(config)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    failures: list[str] = []  # why each run_failed row failed, in row order
     start = time.perf_counter()
-    if args.command == "theorem":
-        rows = experiments.run_theorem(config)
-    else:
-        rows = _SWEEPS[args.command](config, failures)
+    rows, failures = experiments.RUNNERS[args.command](config)
     elapsed = time.perf_counter() - start
     experiments.write_csv(config.out, rows)
     manifest_path = config.out + ".manifest.txt"
-    experiments.write_manifest(manifest_path, config, elapsed, failures)
+    experiments.write_manifest(manifest_path, config, elapsed, failures, grids)
     print(f"wrote {config.out} ({len(rows)} rows) and {manifest_path}")
     if args.command == "theorem":
-        verdicts = {row[10]: row[11] for row in rows if row[4] == ""}
+        records = (dict(zip(experiments.HEADER, row)) for row in rows)
+        verdicts = {r["metric"]: r["value"] for r in records if r["seed"] == ""}
         bound_ok = verdicts.get("all_seeds_pass") == "1.0"
         control_ok = verdicts.get("negative_control_all_fail") == "1.0"
         print(f"bound check: {'PASS' if bound_ok else 'FAIL'}; "

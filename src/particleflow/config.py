@@ -2,11 +2,12 @@
 
 EXPERIMENT_KEYS names the keys each experiment reads: they are its CLI
 flags, the keys its config file may hold and the configuration lines of
-its manifest. Any other key is rejected.
+its manifest. `ExperimentConfig` rejects any other key set away from its
+default, however the config is built.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 VALID_METHODS = ("flow", "mcl", "gd")
 
@@ -18,7 +19,7 @@ EXPERIMENT_KEYS = {
     "theorem": ("dims", "n_particles", "seeds", "eps", "t_end", "dt", "out"),
 }
 
-# Per-experiment defaults for fields left unset by file and flags. Pose
+# Per-experiment values of the fields whose dataclass default is None. Pose
 # reads no dims key: its particles are 6-D poses, and this (6,) is the
 # dimension every pose sweep, grid check and manifest line uses.
 _EXPERIMENT_DEFAULTS = {
@@ -30,12 +31,17 @@ _EXPERIMENT_DEFAULTS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Validated settings of one experiment. dims, n_particles and methods
+    left at None take the experiment's _EXPERIMENT_DEFAULTS; a field the
+    experiment does not read (EXPERIMENT_KEYS) that differs from its
+    default is rejected as an unknown key."""
+
     experiment: str
-    dims: tuple = (10,)
-    n_particles: tuple = (100,)
+    dims: tuple | None = None
+    n_particles: tuple | None = None
     n_steps: int = 50
     seeds: tuple = tuple(range(10))
-    methods: tuple = ("flow", "mcl")
+    methods: tuple | None = None
     gamma: float | None = None  # None: 0.5 synthetic / 8.0 pose, see experiments.resolve_grid
     # log-uniform hyperparameter grid spanning grid_orders orders of magnitude;
     # None picks a scale-aware center per method and dimension (see
@@ -53,21 +59,29 @@ class ExperimentConfig:
     dt: float = 1e-3
 
     def __post_init__(self) -> None:
+        if self.experiment not in EXPERIMENT_KEYS:
+            raise ValueError(f"experiment must be one of {tuple(EXPERIMENT_KEYS)}, got {self.experiment!r}")
+        defaults = _EXPERIMENT_DEFAULTS[self.experiment]
+        for key, value in defaults.items():
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, value)
+        for f in fields(self)[1:]:  # after experiment
+            if (f.name not in EXPERIMENT_KEYS[self.experiment]
+                    and getattr(self, f.name) != defaults.get(f.name, f.default)):
+                raise ValueError(f"unknown key {f.name!r} for the {self.experiment} experiment")
         if self.grid_center is not None and not self.grid_center > 0:
             raise ValueError(f"grid center must be positive, got {self.grid_center}")
         if self.grid_orders < 1:
             raise ValueError(f"grid orders must be >= 1, got {self.grid_orders}")
         if self.grid_points_per_order < 1:
             raise ValueError(f"grid points_per_order must be >= 1, got {self.grid_points_per_order}")
-        if self.experiment not in EXPERIMENT_KEYS:
-            raise ValueError(f"experiment must be one of {tuple(EXPERIMENT_KEYS)}, got {self.experiment!r}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        # theorem runs no methods; a repeated value would run twice, or (seeds)
-        # once under a manifest naming it twice
+        # a list the experiment reads (theorem reads no methods) is nonempty; a
+        # repeated value would run twice, or (seeds) once under a manifest naming it twice
         for key in ("dims", "n_particles", "seeds", "methods"):
             values = getattr(self, key)
-            if not values and not (key == "methods" and self.experiment == "theorem"):
+            if not values and key in EXPERIMENT_KEYS[self.experiment]:
                 raise ValueError(f"{key} must be nonempty")
             if len(set(values)) != len(values):
                 raise ValueError(f"{key} must hold distinct values, got {','.join(map(str, values))}")
@@ -179,11 +193,5 @@ def parse_config_file(path: str, experiment: str) -> dict:
 
 
 def make_config(experiment: str, file_values: dict | None = None, overrides: dict | None = None) -> ExperimentConfig:
-    """Merge per-experiment defaults, file values, and overrides (which win)."""
-    merged: dict = dict(_EXPERIMENT_DEFAULTS[experiment])
-    for source in (file_values or {}), (overrides or {}):
-        for key in source:
-            if key not in EXPERIMENT_KEYS[experiment]:
-                raise ValueError(f"unknown key {key!r} for the {experiment} experiment")
-        merged.update(source)
-    return ExperimentConfig(experiment=experiment, **merged)
+    """The experiment's config from file values and overrides (which win)."""
+    return ExperimentConfig(experiment, **{**(file_values or {}), **(overrides or {})})

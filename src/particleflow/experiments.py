@@ -10,6 +10,7 @@ are byte-identical. Timestamps appear only in the manifest header.
 from __future__ import annotations
 
 import datetime
+import itertools
 import math
 from collections.abc import Sequence
 
@@ -22,7 +23,7 @@ from .config import ExperimentConfig
 from .flow import Ensemble, gradient_coefficient
 from .losses import exact_posterior, expected_posterior, sample_synthetic_problem
 from .metrics import fit_gaussian, kl_gaussians, pose_errors
-from .pose import make_pose_problem, mean_pose, random_rotation_vectors
+from .pose import make_pose_problem, mean_pose, noise_variance, random_rotation_vectors
 
 HEADER = (
     "experiment", "method", "d", "n", "seed", "eta", "epsilon",
@@ -51,11 +52,9 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _row(experiment, method, d, n, seed, eta, epsilon, gamma, ridge, step, metric, value, status):
-    return tuple(
-        _fmt(v)
-        for v in (experiment, method, d, n, seed, eta, epsilon, gamma, ridge, step, metric, value, status)
-    )
+def _cells(*values) -> tuple:
+    """CSV cells of consecutive HEADER columns."""
+    return tuple(_fmt(v) for v in values)
 
 
 def grid_values(center: float, orders: int, points_per_order: int) -> list[float]:
@@ -69,19 +68,20 @@ def grid_values(center: float, orders: int, points_per_order: int) -> list[float
     return values
 
 
-def auto_grid_center(method: str, experiment: str, d: int, gamma: float, sigma_eff: float = 1.0, n_points: int = 1) -> float:
+def auto_grid_center(method: str, experiment: str, d: int, gamma: float, sigma: float = 1.0, n_points: int = 1) -> float:
     """Scale-aware grid center for the method's swept hyperparameter.
 
     The flow's gradient term carries the coefficient C * gamma**(2-d)
     which varies over many orders of magnitude with (d, gamma); centering
     eta at its reciprocal puts an O(1) effective gradient step in the
     middle of the grid. Gradient descent absorbs that prefactor, so its
-    center is the plain loss curvature scale. The motion-noise variance for
+    center is the plain loss curvature scale, for pose
+    pose.noise_variance(sigma) / n_points. The motion-noise variance for
     MCL is centered at 0.1.
     """
     if method == "mcl":
         return 0.1
-    base = sigma_eff * sigma_eff / n_points if experiment == "pose" else 1.0
+    base = noise_variance(sigma) / n_points if experiment == "pose" else 1.0
     if method == "flow":
         coefficient = gradient_coefficient(d, gamma)
         center = base / coefficient if coefficient else math.inf
@@ -107,8 +107,7 @@ def resolve_grid(config: ExperimentConfig, method: str, d: int) -> tuple[float, 
         gamma = float(config.gamma)
     center = config.grid_center
     if center is None:
-        sigma_eff = config.sigma if config.sigma > 0 else 1.0
-        center = auto_grid_center(method, config.experiment, d, gamma, sigma_eff, config.pose_points)
+        center = auto_grid_center(method, config.experiment, d, gamma, config.sigma, config.pose_points)
     return gamma, center, grid_values(center, config.grid_orders, config.grid_points_per_order)
 
 
@@ -128,68 +127,68 @@ def _trajectory(method, value, problem, init, gamma, seed, n_steps):
         yield ensemble.step_index, ensemble.particles
 
 
-def _sweep(config: ExperimentConfig, d: int, n: int, instances: dict, selection: str,
-           failures: list[str] | None) -> list[tuple]:
-    """Grid search of every configured method over per-seed instances.
+def _sweep(config: ExperimentConfig, instance, selection: str) -> tuple[list[tuple], list[str]]:
+    """Grid search of every configured method at each (d, n) over per-seed instances.
 
-    instances maps seed -> (problem, init, measure), where measure(step,
-    particles) returns (ridge, metric, value, status) tuples. Each
-    (method, grid point, seed) run emits its measured rows per step, or a
-    run_failed row at the step that raised: the step being measured when
-    measure raised, the step being made when stepping raised. The best
-    grid point per method minimizes the mean final-step `selection` metric
-    across seeds; a grid point counts only if that metric is ok at the last
-    step for every seed.
-    Unless failures is None, one line per run_failed row, in row order,
-    says which run failed at which step and why.
+    instance(d, n, seed) returns (problem, init, measure), where
+    measure(step, particles) returns (ridge, metric, value, status) tuples.
+    Each (method, grid point, seed) run emits its measured rows per step,
+    or a run_failed row at the step that raised: the step being measured
+    when measure raised, the step being made when stepping raised. The
+    best grid point per (method, d, n) minimizes the mean final-step
+    `selection` metric across seeds; a grid point counts only if that
+    metric is ok at the last step for every seed. Each run formats its
+    eight constant columns once. Returns the rows and one line per
+    run_failed row, in row order, saying which run failed at which step
+    and why.
     """
     experiment, T = config.experiment, config.n_steps
-    rows: list[tuple] = []
-    for method in config.methods:
-        gamma, _, values = resolve_grid(config, method, d)
-        gamma_col = gamma if method == "flow" else None
-        best_value, best_mean = None, math.inf
-        for value in values:
-            eta, epsilon = (None, value) if method == "mcl" else (value, None)
-            finals = []
-            for seed, (problem, init, measure) in instances.items():
-                try:
-                    # diverging grid points overflow by design before being
-                    # reported as error rows; keep their FP warnings out of
-                    # the sweep output
-                    with np.errstate(all="ignore"):
-                        for step, particles in _trajectory(method, value, problem, init, gamma, seed, T):
-                            failed_step = step  # a failing measure names the step it measured
-                            measured = measure(step, particles)
-                            rows.extend(_row(experiment, method, d, n, seed, eta, epsilon, gamma_col,
-                                             ridge, step, metric, v, status)
-                                        for ridge, metric, v, status in measured)
-                            failed_step = step + 1  # a failing stepping call names the step it made
-                except ValueError as exc:
-                    rows.append(_row(experiment, method, d, n, seed, eta, epsilon, gamma_col,
-                                     None, failed_step, "run_failed", None, "error"))
-                    if failures is not None:
+    rows, failures = [], []
+    for d, n in itertools.product(config.dims, config.n_particles):
+        instances = {seed: instance(d, n, seed) for seed in config.seeds}
+        for method in config.methods:
+            gamma, _, values = resolve_grid(config, method, d)
+            gamma_col = gamma if method == "flow" else None
+            best_value, best_mean = None, math.inf
+            for value in values:
+                eta, epsilon = (None, value) if method == "mcl" else (value, None)
+                finals = []
+                for seed, (problem, init, measure) in instances.items():
+                    run = _cells(experiment, method, d, n, seed, eta, epsilon, gamma_col)
+                    try:
+                        # diverging grid points overflow by design before being
+                        # reported as error rows; keep their FP warnings out of
+                        # the sweep output
+                        with np.errstate(all="ignore"):
+                            for step, particles in _trajectory(method, value, problem, init, gamma, seed, T):
+                                failed_step = step  # a failing measure names the step it measured
+                                measured = measure(step, particles)
+                                rows.extend(run + _cells(ridge, step, metric, v, status)
+                                            for ridge, metric, v, status in measured)
+                                failed_step = step + 1  # a failing stepping call names the step it made
+                    except ValueError as exc:
+                        rows.append(run + _cells(None, failed_step, "run_failed", None, "error"))
                         swept = "epsilon" if method == "mcl" else "eta"
                         reason = str(exc).replace("\n", " ")
                         failures.append(f"{method} d={d} n={n} seed={seed} {swept}={_fmt(value)} "
                                         f"step={failed_step}: {reason}")
-                    finals.append(None)
-                else:
-                    finals.append(next((v for _, metric, v, _ in measured if metric == selection), None))
-            if any(v is None for v in finals):
+                        finals.append(None)
+                    else:
+                        finals.append(next((v for _, metric, v, _ in measured if metric == selection), None))
+                if any(v is None for v in finals):
+                    continue
+                mean = sum(finals) / len(finals)
+                if mean < best_mean:
+                    best_value, best_mean = value, mean
+            metric = "best_final_" + selection + "_mean"
+            if best_value is None:
+                rows.append(_cells(experiment, method, d, n, None, None, None, None, None,
+                                   T, metric, None, "error"))
                 continue
-            mean = sum(finals) / len(finals)
-            if mean < best_mean:
-                best_value, best_mean = value, mean
-        metric = "best_final_" + selection + "_mean"
-        if best_value is None:
-            rows.append(_row(experiment, method, d, n, None, None, None, None, None,
-                             T, metric, None, "error"))
-            continue
-        eta, epsilon = (None, best_value) if method == "mcl" else (best_value, None)
-        rows.append(_row(experiment, method, d, n, None, eta, epsilon, gamma_col,
-                         None, T, metric, best_mean, "ok"))
-    return rows
+            eta, epsilon = (None, best_value) if method == "mcl" else (best_value, None)
+            rows.append(_cells(experiment, method, d, n, None, eta, epsilon, gamma_col,
+                               None, T, metric, best_mean, "ok"))
+    return rows, failures
 
 
 # ---------------------------------------------------------------------------
@@ -222,27 +221,22 @@ def _kl_measure(problem, n_steps: int):
     return measure
 
 
-def run_synthetic(config: ExperimentConfig, failures: list[str] | None = None) -> list[tuple]:
+def run_synthetic(config: ExperimentConfig) -> tuple[list[tuple], list[str]]:
     """Sweep (d, n, method, grid point, seed) on the synthetic localization task.
 
     Particles start iid from the standard normal prior. Every step records
     the KL divergence between a Gaussian fit to the particles and both the
     direction-averaged and the realized posterior, in both argument
     orders. The best grid point per (method, d, n) minimizes the mean
-    final-step kl_fit_vs_expected across seeds. A list passed as failures
-    receives the reason for each run_failed row (see `_sweep`).
+    final-step kl_fit_vs_expected across seeds. Returns the rows and the
+    reason for each run_failed row (see `_sweep`).
     """
-    rows: list[tuple] = []
-    for d in config.dims:
-        for n in config.n_particles:
-            instances = {}
-            for seed in config.seeds:
-                problem = sample_synthetic_problem(d, config.n_steps, seed)
-                measure = _kl_measure(problem, config.n_steps)
-                init = rng.stream(seed, rng.INIT).standard_normal((n, d))
-                instances[seed] = (problem, init, measure)
-            rows.extend(_sweep(config, d, n, instances, SELECTION_METRIC, failures))
-    return rows
+    def instance(d, n, seed):
+        problem = sample_synthetic_problem(d, config.n_steps, seed)
+        measure = _kl_measure(problem, config.n_steps)
+        return problem, rng.stream(seed, rng.INIT).standard_normal((n, d)), measure
+
+    return _sweep(config, instance, SELECTION_METRIC)
 
 
 # ---------------------------------------------------------------------------
@@ -268,24 +262,20 @@ def _pose_measure(true_pose):
     return measure
 
 
-def run_pose(config: ExperimentConfig, failures: list[str] | None = None) -> list[tuple]:
+def run_pose(config: ExperimentConfig) -> tuple[list[tuple], list[str]]:
     """Synthetic registration benchmark: flow versus per-particle gradient descent.
 
     Both methods start from identical random pose particles and run the
     same iteration budget; every step records translation (cm) and signed
     rotation (deg) error of the mean pose. The best grid point per method
-    minimizes the mean final translation error across seeds. A list passed
-    as failures receives the reason for each run_failed row (see `_sweep`).
+    minimizes the mean final translation error across seeds. Returns the
+    rows and the reason for each run_failed row (see `_sweep`).
     """
-    (d,) = config.dims
-    rows: list[tuple] = []
-    for n in config.n_particles:
-        instances = {}
-        for seed in config.seeds:
-            problem = make_pose_problem(config.pose_points, config.sigma, seed)
-            instances[seed] = (problem, _pose_init(seed, n), _pose_measure(problem.true_pose))
-        rows.extend(_sweep(config, d, n, instances, "trans_err_cm", failures))
-    return rows
+    def instance(d, n, seed):  # d is 6: pose reads no dims key
+        problem = make_pose_problem(config.pose_points, config.sigma, seed)
+        return problem, _pose_init(seed, n), _pose_measure(problem.true_pose)
+
+    return _sweep(config, instance, "trans_err_cm")
 
 
 # ---------------------------------------------------------------------------
@@ -310,45 +300,41 @@ def theorem_field(d: int, seed: int) -> np.ndarray:
     return symmetric / np.linalg.norm(symmetric, 2)
 
 
-def run_theorem(config: ExperimentConfig) -> list[tuple]:
+def run_theorem(config: ExperimentConfig) -> tuple[list[tuple], list[str]]:
     """Empirical divergence-bound check plus a halved-Lipschitz negative control.
 
     Emits per-checkpoint (time, observed Wasserstein, bound) rows, one
     pass/fail per seed at BOUND_SLACK, and the negative-control verdicts
     (recomputing the bound with half the true Lipschitz constant must
-    break it).
+    break it). Returns the rows and no failure reasons: no run fails.
     """
     (d,), (n,) = config.dims, config.n_particles
-
-    def row(seed, step, metric, value):
-        return _row("theorem", "flow_pair", d, n, seed, None, None, None, None, step, metric, value, "ok")
-
     rows: list[tuple] = []
+
+    def add(run, step, *metrics):
+        rows.extend(run + _cells(None, step, metric, value, "ok") for metric, value in metrics)
+
     passes, control_failures = [], []
     for seed in config.seeds:
-        field = theorem_field(d, seed)
-        report = perturbed_flow_check(n, field, config.eps, config.t_end, config.dt, seed)
+        run = _cells("theorem", "flow_pair", d, n, seed, None, None, None)
+        report = perturbed_flow_check(n, theorem_field(d, seed), config.eps, config.t_end, config.dt, seed)
         for step, (t, w, bound) in enumerate(zip(report.times, report.observed, report.bounds), start=1):
-            rows.append(row(seed, step, "checkpoint_time", t))
-            rows.append(row(seed, step, "wasserstein_observed", w))
-            rows.append(row(seed, step, "gronwall_bound", bound))
-        satisfied = report.max_ratio <= BOUND_SLACK
-        passes.append(satisfied)
-        halved = np.array([
-            gronwall_bound(report.initial_distance, config.eps, report.field_lipschitz / 2.0, t)
-            for t in report.times
-        ])
+            add(run, step, ("checkpoint_time", t), ("wasserstein_observed", w), ("gronwall_bound", bound))
+        halved = [gronwall_bound(report.initial_distance, config.eps, report.field_lipschitz / 2.0, t)
+                  for t in report.times]
         control_ratio = max_ratio(report.observed, halved)
-        control_failed = not control_ratio <= BOUND_SLACK
-        control_failures.append(control_failed)
-        last = len(report.times)
-        rows.append(row(seed, last, "max_ratio", report.max_ratio))
-        rows.append(row(seed, last, "bound_satisfied", 1.0 if satisfied else 0.0))
-        rows.append(row(seed, last, "negative_control_max_ratio", control_ratio))
-        rows.append(row(seed, last, "negative_control_fails", 1.0 if control_failed else 0.0))
-    rows.append(row(None, 0, "all_seeds_pass", 1.0 if all(passes) else 0.0))
-    rows.append(row(None, 0, "negative_control_all_fail", 1.0 if all(control_failures) else 0.0))
-    return rows
+        passes.append(report.max_ratio <= BOUND_SLACK)
+        control_failures.append(not control_ratio <= BOUND_SLACK)
+        add(run, len(report.times), ("max_ratio", report.max_ratio), ("bound_satisfied", float(passes[-1])),
+            ("negative_control_max_ratio", control_ratio),
+            ("negative_control_fails", float(control_failures[-1])))
+    add(_cells("theorem", "flow_pair", d, n, None, None, None, None), 0,
+        ("all_seeds_pass", float(all(passes))), ("negative_control_all_fail", float(all(control_failures))))
+    return rows, []
+
+
+# every experiment's runner: config -> (rows, reason of each run_failed row)
+RUNNERS = {"synthetic": run_synthetic, "pose": run_pose, "theorem": run_theorem}
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +350,22 @@ def write_csv(path: str, rows: list[tuple], header: tuple = HEADER) -> None:
             handle.write(",".join(row) + "\n")
 
 
+def grid_items(config: ExperimentConfig) -> dict[str, str]:
+    """Manifest items gamma_resolved.d<d> and grid_center_resolved.<method>.d<d>
+    of every (method, d) grid; raises ValueError for a grid no run can use."""
+    items = {}
+    for d in config.dims:
+        for method in config.methods:
+            gamma, center, _ = resolve_grid(config, method, d)
+            items[f"gamma_resolved.d{d}"] = repr(gamma)
+            items[f"grid_center_resolved.{method}.d{d}"] = repr(center)
+    return items
+
+
 def write_manifest(path: str, config: ExperimentConfig, elapsed_seconds: float,
-                   failures: Sequence[str] = ()) -> None:
-    """Resolved config, versions, and generator name; wall-clock in the header.
+                   failures: Sequence[str], grids: dict[str, str]) -> None:
+    """Resolved config and grids (see grid_items), versions, and generator
+    name; wall-clock in the header.
 
     The sorted key=value lines are followed by one `run_failed.<k>` line per
     failure reason, k = 1, 2, ... in CSV row order.
@@ -375,19 +374,11 @@ def write_manifest(path: str, config: ExperimentConfig, elapsed_seconds: float,
         f"# generated_at={datetime.datetime.now(datetime.timezone.utc).isoformat()}",
         f"# elapsed_seconds={elapsed_seconds:.3f}",
     ]
-    items = dict(config.manifest_items())
-    items["library_version"] = __version__
-    items["rng_algorithm"] = rng.GENERATOR_NAME
-    items["init_distribution"] = _INIT_DISTRIBUTIONS[config.experiment]
+    items = {**dict(config.manifest_items()), **grids, "library_version": __version__,
+             "rng_algorithm": rng.GENERATOR_NAME, "init_distribution": _INIT_DISTRIBUTIONS[config.experiment]}
     if "gd" in config.methods:
         items["gd_eta_convention"] = "absorbs the kernel prefactor C*gamma**(2-d)"
-    for d in config.dims:
-        for method in config.methods:
-            gamma, center, _ = resolve_grid(config, method, d)
-            items[f"gamma_resolved.d{d}"] = repr(gamma)
-            items[f"grid_center_resolved.{method}.d{d}"] = repr(center)
-    for key, value in sorted(items.items()):
-        lines.append(f"{key}={value}")
+    lines.extend(f"{key}={value}" for key, value in sorted(items.items()))
     lines.extend(f"run_failed.{k}={reason}" for k, reason in enumerate(failures, start=1))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -114,6 +114,13 @@ def _right_jacobian(w: np.ndarray) -> np.ndarray:
     return eye - a[:, None, None] * s + b[:, None, None] * s2
 
 
+def noise_variance(sigma: float) -> float:
+    """sigma * sigma of the registration loss, taking sigma = 0 (noise-free
+    observations, whose residual is left unscaled) as 1."""
+    s = sigma if sigma > 0 else 1.0
+    return s * s
+
+
 @dataclass(frozen=True)
 class PoseRegistrationLoss:
     """Point-set registration negative log-likelihood over flat R^6 poses.
@@ -148,8 +155,7 @@ class PoseRegistrationLoss:
 
     @property
     def _scale(self) -> float:
-        sigma_eff = self.sigma if self.sigma > 0 else 1.0
-        return 1.0 / (sigma_eff * sigma_eff)
+        return 1.0 / noise_variance(self.sigma)
 
     def _residuals(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rotation matrices (n, 3, 3) and residuals resid[n, i, k] of

@@ -88,7 +88,7 @@ def synthetic_d10():
     cfg = make_config("synthetic", overrides={
         "dims": (10,), "n_particles": (100, 10), "seeds": tuple(range(10)),
     })
-    return records(run_synthetic(cfg))
+    return records(run_synthetic(cfg)[0])
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +96,7 @@ def synthetic_d50():
     cfg = make_config("synthetic", overrides={
         "dims": (50,), "n_particles": (100,), "seeds": tuple(range(10)),
     })
-    return records(run_synthetic(cfg))
+    return records(run_synthetic(cfg)[0])
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +104,7 @@ def pose_sweep():
     cfg = make_config("pose", overrides={
         "n_particles": (80,), "seeds": tuple(range(10)), "n_steps": 100,
     })
-    return records(run_pose(cfg))
+    return records(run_pose(cfg)[0])
 
 
 # --- criterion 1: flow invariant suite ----------------------------------------

@@ -3,6 +3,7 @@ import argparse
 import numpy as np
 import pytest
 
+from particleflow import experiments
 from particleflow.cli import build_parser, main
 from particleflow.config import ExperimentConfig, make_config, parse_config_file
 from particleflow.experiments import HEADER, grid_values, summarize_rows
@@ -18,10 +19,10 @@ def test_defaults_match_documented_protocol():
     assert cfg.grid_center is None
     assert cfg.grid_orders == 5 and cfg.grid_points_per_order == 2
     cfg = make_config("pose")
-    assert cfg.n_particles == (80,)
+    assert cfg.dims == (6,) and cfg.n_particles == (80,)
     assert cfg.methods == ("flow", "gd")
     cfg = make_config("theorem")
-    assert cfg.dims == (3,) and cfg.n_particles == (32,)
+    assert cfg.dims == (3,) and cfg.n_particles == (32,) and cfg.methods == ()
     assert cfg.eps == 0.1 and cfg.t_end == 1.0 and cfg.dt == 1e-3
 
 
@@ -140,13 +141,24 @@ def test_cli_theorem_end_to_end(tmp_path, capsys):
     assert code == 0
     text = out.read_text().splitlines()
     assert text[0] == ",".join(HEADER)
-    assert "PASS" in capsys.readouterr().out
+    assert "bound check: PASS; negative control: breaks as expected" in capsys.readouterr().out.splitlines()
     manifest = (tmp_path / "theorem.csv.manifest.txt").read_text()
     assert "rng_algorithm=philox" in manifest
     assert "library_version=" in manifest
     # theorem sweeps no grid and runs no gradient descent
     assert "gamma_resolved" not in manifest and "gd_eta_convention" not in manifest
     assert "init_distribution=standard_normal, one draw shared by both particle sets" in manifest
+
+
+def test_cli_theorem_verdict_reads_the_verdict_rows(tmp_path, capsys, monkeypatch):
+    # a run whose bound breaks and whose control holds prints both failures
+    def verdict(metric):
+        return dict(zip(HEADER, [""] * len(HEADER)), experiment="theorem", metric=metric, value="0.0")
+
+    rows = [tuple(verdict(metric).values()) for metric in ("all_seeds_pass", "negative_control_all_fail")]
+    monkeypatch.setitem(experiments.RUNNERS, "theorem", lambda config: (rows, []))
+    assert main(["theorem", "--out", str(tmp_path / "theorem.csv")]) == 0
+    assert "bound check: FAIL; negative control: FAILED TO BREAK" in capsys.readouterr().out.splitlines()
 
 
 def test_cli_rerun_is_byte_identical(tmp_path):
@@ -268,10 +280,17 @@ def test_config_file_rejects_another_experiments_key(tmp_path):
 @pytest.mark.parametrize("experiment, key, value", [
     ("synthetic", "sigma", 9.0), ("synthetic", "eps", 3.0), ("pose", "dims", (10,)),
     ("theorem", "methods", ("flow", "gd")), ("theorem", "n_steps", 5),
+    ("synthetic", "sigma", 0.01), ("theorem", "methods", ("flow", "mcl")),
 ])
 def test_make_config_rejects_another_experiments_key(experiment, key, value):
-    with pytest.raises(ValueError, match=f"unknown key '{key}' for the {experiment} experiment"):
+    message = f"^unknown key '{key}' for the {experiment} experiment$"
+    with pytest.raises(ValueError, match=message):
         make_config(experiment, overrides={key: value})
+    # built directly, too: pose with dims=(10,) used to step 6-D particles
+    # but write d=10 in every row and centre its eta grid at the d=10 value
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(experiment, **{key: value})
+    assert ExperimentConfig(experiment) == make_config(experiment)
 
 
 @pytest.mark.parametrize("flag, value, message", [

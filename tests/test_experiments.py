@@ -26,7 +26,7 @@ def small_synthetic():
         "dims": (4,), "n_particles": (16,), "n_steps": 8, "seeds": (0, 1),
         "grid_orders": 2, "grid_points_per_order": 1,
     })
-    return cfg, records(run_synthetic(cfg))
+    return cfg, records(run_synthetic(cfg)[0])
 
 
 def test_synthetic_emits_all_metrics_each_step(small_synthetic):
@@ -68,7 +68,7 @@ def test_single_particle_flow_emits_fit_error_rows():
         "dims": (3,), "n_particles": (1,), "n_steps": 3, "seeds": (0,),
         "methods": ("flow",), "grid_orders": 1, "grid_points_per_order": 1,
     })
-    rows = records(run_synthetic(cfg))
+    rows = records(run_synthetic(cfg)[0])
     fit_errors = [r for r in rows if r["status"] == "fit_error"]
     assert len(fit_errors) > 0
     assert all(r["metric"] == "fit_gaussian" for r in fit_errors)
@@ -82,7 +82,7 @@ def test_diverging_grid_points_recorded_but_sweep_continues():
         "methods": ("gd",), "grid_center": 1e6, "grid_orders": 2,
         "grid_points_per_order": 1,
     })
-    rows = records(run_synthetic(cfg))
+    rows = records(run_synthetic(cfg)[0])
     assert any(r["status"] == "error" and r["metric"] == "run_failed" for r in rows)
     assert any(r["status"] == "ok" for r in rows)
 
@@ -104,8 +104,8 @@ class _NanGradientBowl:
 def test_sweep_run_failed_row_names_the_failing_step(failing):
     k = 3
     cfg = make_config("synthetic", overrides={
-        "n_steps": 6, "seeds": (0,), "methods": ("gd",), "grid_center": 0.1,
-        "grid_orders": 1, "grid_points_per_order": 1,
+        "dims": (3,), "n_particles": (4,), "n_steps": 6, "seeds": (0,), "methods": ("gd",),
+        "grid_center": 0.1, "grid_orders": 1, "grid_points_per_order": 1,
     })
 
     def measure(step, particles):
@@ -117,9 +117,9 @@ def test_sweep_run_failed_row_names_the_failing_step(failing):
     # call names the step it was making
     problem = _NanGradientBowl(k if failing == "stepping" else np.inf)
     expected = k if failing == "measure" else k + 1
-    init = np.random.default_rng(0).standard_normal((4, 2))
-    failures = []
-    rows = records(_sweep(cfg, 2, 4, {0: (problem, init, measure)}, "loss", failures))
+    init = np.random.default_rng(0).standard_normal((4, 3))
+    rows, failures = _sweep(cfg, lambda d, n, seed: (problem, init, measure), "loss")
+    rows = records(rows)
     failed = [r for r in rows if r["metric"] == "run_failed"]
     assert [int(r["step"]) for r in failed] == [expected, expected]  # one per grid point
     assert all(f" step={expected}: " in line for line in failures) and len(failures) == 2
@@ -139,8 +139,10 @@ def test_auto_centers_scale_with_kernel_coefficient():
         assert center == pytest.approx(1.0 / gradient_coefficient(d, gamma), rel=1e-12)
     assert auto_grid_center("mcl", "synthetic", 10, 0.5) == 0.1
     assert auto_grid_center("gd", "synthetic", 10, 0.5) == 1.0
-    pose_center = auto_grid_center("gd", "pose", 6, 8.0, sigma_eff=0.01, n_points=10)
+    pose_center = auto_grid_center("gd", "pose", 6, 8.0, sigma=0.01, n_points=10)
     assert pose_center == pytest.approx(1e-4 / 10)
+    # noise-free observations leave the residual unscaled, as sigma = 1 does
+    assert auto_grid_center("gd", "pose", 6, 8.0, sigma=0.0, n_points=10) == 1.0 / 10
 
 
 def test_resolved_gamma_defaults():
@@ -155,7 +157,7 @@ def test_resolved_gamma_defaults():
 def test_resolve_grid_centers_the_grid_it_returns():
     pose = make_config("pose", overrides={"sigma": 0.01, "pose_points": 10})
     gamma, center, values = resolve_grid(pose, "gd", 6)
-    assert (gamma, center) == (8.0, auto_grid_center("gd", "pose", 6, 8.0, 0.01, 10))
+    assert (gamma, center) == (8.0, auto_grid_center("gd", "pose", 6, 8.0, sigma=0.01, n_points=10))
     assert values == grid_values(center, 5, 2)
     explicit = make_config("synthetic", overrides={"grid_center": 3.0, "grid_orders": 2})
     assert resolve_grid(explicit, "flow", 10)[1:] == (3.0, grid_values(3.0, 2, 2))
@@ -175,7 +177,7 @@ def small_pose():
         "n_particles": (24,), "n_steps": 10, "seeds": (0, 1),
         "grid_orders": 2, "grid_points_per_order": 1, "sigma": 0.01,
     })
-    return cfg, records(run_pose(cfg))
+    return cfg, records(run_pose(cfg)[0])
 
 
 def test_pose_methods_share_initialization(small_pose):
@@ -203,7 +205,7 @@ def test_pose_noise_free_flow_reaches_subcentimeter():
     cfg = make_config("pose", overrides={
         "seeds": (0,), "sigma": 0.0, "n_steps": 300, "methods": ("flow",),
     })
-    rows = records(run_pose(cfg))
+    rows = records(run_pose(cfg)[0])
     best = [r for r in rows if r["metric"].startswith("best_") and r["status"] == "ok"]
     assert best and float(best[0]["value"]) < 1.0
 
@@ -213,7 +215,7 @@ def test_pose_noise_free_flow_reaches_subcentimeter():
 
 def test_theorem_zero_discrepancy_passes_trivially():
     cfg = make_config("theorem", overrides={"seeds": (0,), "n_particles": (8,), "eps": 0.0})
-    rows = records(run_theorem(cfg))
+    rows = records(run_theorem(cfg)[0])
     verdicts = {r["metric"]: r["value"] for r in rows if r["seed"] == ""}
     assert verdicts["all_seeds_pass"] == "1.0"
     ratios = [float(r["value"]) for r in rows if r["metric"] == "max_ratio"]
@@ -222,7 +224,7 @@ def test_theorem_zero_discrepancy_passes_trivially():
 
 def test_theorem_rows_and_verdicts():
     cfg = make_config("theorem", overrides={"seeds": (0, 1), "n_particles": (16,)})
-    rows = records(run_theorem(cfg))
+    rows = records(run_theorem(cfg)[0])
     observed = [r for r in rows if r["metric"] == "wasserstein_observed"]
     bounds = [r for r in rows if r["metric"] == "gronwall_bound"]
     assert len(observed) == len(bounds) >= 200  # >= 100 checkpoints per seed
