@@ -15,7 +15,8 @@ paths). One verdict per file is printed, and the exit status is 1 if any
 pair differs or a run fails. A differing CSV pair also gets its row
 counts, how many rows match on run, step and metric, the largest
 relative deviation of the ridge and value columns over the matched rows,
-and whether both hold the same run_failed rows (same run and step). A
+whether both hold the same run_failed, fit_error and kl_error rows (same
+run and step), and how many ok rows on each side hold an inf or nan. A
 differing manifest pair gets every line only in BASE_REV's manifest
 (`-`) and every line only in the working tree's (`+`).
 """
@@ -38,9 +39,10 @@ ERROR_PATHS = [
     ("fit_error", ["synthetic", "--dims", "4,10", "--n-particles", "1,12", "--n-steps", "6",
                    "--seeds", "0,1", "--method", "flow,mcl,gd", "--grid-orders", "14",
                    "--grid-points-per-order", "1"]),
-    # synthetic grid edges that diverge: 14 run_failed rows, and 124 fits whose
+    # synthetic grid edges that diverge: 14 run_failed rows, 124 fits whose
     # covariance overflowed (fit_error rows; kl_error rows before non-finite
-    # Gaussians were rejected at construction)
+    # Gaussians were rejected at construction) and 2 steps whose KL overflows
+    # (kl_error rows; ok rows of value inf before such a KL raised)
     ("synthetic_failure", ["synthetic", "--dims", "4", "--n-particles", "12", "--n-steps", "20",
                            "--seeds", "0,1", "--method", "flow,mcl,gd", "--grid-orders", "30",
                            "--grid-points-per-order", "1"]),
@@ -70,11 +72,17 @@ def commands() -> list[tuple[str, list[str]]]:
 ROW_KEY = ("experiment", "method", "d", "n", "seed", "eta", "epsilon", "gamma", "step", "metric")
 
 
+# the error rows _explain places: name -> (column, value) that marks them
+ERROR_ROWS = {"run_failed": ("metric", "run_failed"), "fit_error": ("status", "fit_error"),
+              "kl_error": ("status", "kl_error")}
+
+
 def _explain(left: bytes, right: bytes) -> str:
     """Why two result CSVs differ: how many rows each holds and how many
     match on ROW_KEY, the largest relative deviation of ridge and value over
-    the matched rows, and whether their run_failed rows name the same runs
-    and steps."""
+    the matched rows, whether their run_failed, fit_error and kl_error rows
+    sit at the same runs and steps, and how many ok rows on each side hold a
+    value that is not finite."""
     def parse(data: bytes) -> tuple[int, dict]:
         rows = list(csv.DictReader(io.StringIO(data.decode())))
         return len(rows), {tuple(row[k] for k in ROW_KEY): row for row in rows}
@@ -95,15 +103,22 @@ def _explain(left: bytes, right: bytes) -> str:
             gap = abs(a - b)
             if gap != 0.0:  # nan if either side is nan
                 deviation = max(deviation, gap / max(abs(a), abs(b)) if math.isfinite(gap) else math.inf)
-    base_failed = {key for key in base_rows if key[-1] == "run_failed"}
-    work_failed = {key for key in work_rows if key[-1] == "run_failed"}
-    if base_failed == work_failed:
-        failed = f"same run_failed rows ({len(base_failed)})"
-    else:
-        failed = (f"run_failed rows DIFFER ({len(base_failed - work_failed)} only in base, "
-                  f"{len(work_failed - base_failed)} only in work)")
+    placed = []
+    for name, (column, marker) in ERROR_ROWS.items():
+        base = {key for key, row in base_rows.items() if row[column] == marker}
+        work = {key for key, row in work_rows.items() if row[column] == marker}
+        if base == work:
+            placed.append(f"same {name} rows ({len(base)})")
+        else:
+            placed.append(f"{name} rows DIFFER ({len(base - work)} only in base, "
+                          f"{len(work - base)} only in work)")
+
+    def non_finite(rows: dict) -> int:
+        return sum(row["status"] == "ok" and not math.isfinite(float(row["value"])) for row in rows.values())
+
     return (f"{base_count} base rows, {work_count} work rows, {len(shared)} matched; "
-            f"max relative deviation of ridge and value {deviation:.3g}; {failed}")
+            f"max relative deviation of ridge and value {deviation:.3g}; {'; '.join(placed)}; "
+            f"non-finite ok values {non_finite(base_rows)} in base, {non_finite(work_rows)} in work")
 
 
 def _manifest_lines(path: Path) -> list[str]:

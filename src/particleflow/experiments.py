@@ -12,7 +12,8 @@ from __future__ import annotations
 import datetime
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .bounds import gronwall_bound, max_ratio, perturbed_flow_check
 from .config import ExperimentConfig
 from .flow import Ensemble, gradient_coefficient
 from .losses import exact_posterior, expected_posterior, sample_synthetic_problem
-from .metrics import fit_gaussian, kl_gaussians, pose_errors
+from .metrics import GaussianSummary, fit_gaussian, kl_gaussians, pose_errors
 from .pose import make_pose_problem, mean_pose, noise_variance, random_rotation_vectors
 
 HEADER = (
@@ -127,18 +128,32 @@ def _trajectory(method, value, problem, init, gamma, seed, n_steps):
         yield ensemble.step_index, ensemble.particles
 
 
+class Measure(NamedTuple):
+    """How a sweep reads its runs.
+
+    observe(step, particles) keeps what one step needs; a ValueError fails
+    the run at that step. emit(observed) turns a run's (step, observation)
+    pairs, in step order, into its (ridge, step, metric, value, status)
+    rows once the run has ended, after its last step or at the step that
+    failed.
+    """
+
+    observe: Callable
+    emit: Callable
+
+
 def _sweep(config: ExperimentConfig, instance, selection: str) -> tuple[list[tuple], list[str]]:
     """Grid search of every configured method at each (d, n) over per-seed instances.
 
-    instance(d, n, seed) returns (problem, init, measure), where
-    measure(step, particles) returns (ridge, metric, value, status) tuples.
-    Each (method, grid point, seed) run emits its measured rows per step,
-    or a run_failed row at the step that raised: the step being measured
-    when measure raised, the step being made when stepping raised. The
-    best grid point per (method, d, n) minimizes the mean final-step
-    `selection` metric across seeds; a grid point counts only if that
-    metric is ok at the last step for every seed. Each run formats its
-    eight constant columns once. Returns the rows and one line per
+    instance(d, n, seed) returns (problem, init, measure), measure a
+    `Measure`. Each (method, grid point, seed) run has measure.observe
+    each step and emits its measured rows when it ends, followed by a
+    run_failed row at the step that raised if it failed: the step being
+    observed when observe raised, the step being made when stepping
+    raised. The best grid point per (method, d, n) minimizes the mean
+    final-step `selection` metric across seeds; a grid point counts only
+    if that metric is ok at the last step for every seed. Each run formats
+    its eight constant columns once. Returns the rows and one line per
     run_failed row, in row order, saying which run failed at which step
     and why.
     """
@@ -155,26 +170,30 @@ def _sweep(config: ExperimentConfig, instance, selection: str) -> tuple[list[tup
                 finals = []
                 for seed, (problem, init, measure) in instances.items():
                     run = _cells(experiment, method, d, n, seed, eta, epsilon, gamma_col)
-                    try:
-                        # diverging grid points overflow by design before being
-                        # reported as error rows; keep their FP warnings out of
-                        # the sweep output
-                        with np.errstate(all="ignore"):
+                    observed, failure = [], None
+                    # diverging grid points overflow by design before being
+                    # reported as error rows; keep their FP warnings out of
+                    # the sweep output
+                    with np.errstate(all="ignore"):
+                        try:
                             for step, particles in _trajectory(method, value, problem, init, gamma, seed, T):
-                                failed_step = step  # a failing measure names the step it measured
-                                measured = measure(step, particles)
-                                rows.extend(run + _cells(ridge, step, metric, v, status)
-                                            for ridge, metric, v, status in measured)
+                                failed_step = step  # a failing observe names the step it observed
+                                observed.append((step, measure.observe(step, particles)))
                                 failed_step = step + 1  # a failing stepping call names the step it made
-                    except ValueError as exc:
-                        rows.append(run + _cells(None, failed_step, "run_failed", None, "error"))
-                        swept = "epsilon" if method == "mcl" else "eta"
-                        reason = str(exc).replace("\n", " ")
-                        failures.append(f"{method} d={d} n={n} seed={seed} {swept}={_fmt(value)} "
-                                        f"step={failed_step}: {reason}")
-                        finals.append(None)
-                    else:
-                        finals.append(next((v for _, metric, v, _ in measured if metric == selection), None))
+                        except ValueError as exc:
+                            failure = exc
+                        measured = measure.emit(observed)
+                    rows.extend(run + _cells(*row) for row in measured)
+                    if failure is None:
+                        finals.append(next((v for _, step, metric, v, _ in measured
+                                            if step == T and metric == selection), None))
+                        continue
+                    rows.append(run + _cells(None, failed_step, "run_failed", None, "error"))
+                    swept = "epsilon" if method == "mcl" else "eta"
+                    reason = str(failure).replace("\n", " ")
+                    failures.append(f"{method} d={d} n={n} seed={seed} {swept}={_fmt(value)} "
+                                    f"step={failed_step}: {reason}")
+                    finals.append(None)
                 if any(v is None for v in finals):
                     continue
                 mean = sum(finals) / len(finals)
@@ -196,29 +215,61 @@ def _sweep(config: ExperimentConfig, instance, selection: str) -> tuple[list[tup
 # ---------------------------------------------------------------------------
 
 
-def _kl_measure(problem, n_steps: int):
-    """measure(step, particles) for the synthetic task: KL rows between a
-    Gaussian fit and both reference posteriors, in both argument orders."""
-    expected_by_step = [expected_posterior(problem.center, t) for t in range(n_steps + 1)]
-    exact_by_step = [exact_posterior(problem, t) for t in range(n_steps + 1)]
+def _kl_measure(problem, n_steps: int) -> Measure:
+    """The synthetic task's measure: KL rows between a Gaussian fit and both
+    reference posteriors, in both argument orders.
 
-    def measure(step: int, particles: np.ndarray) -> list[tuple]:
-        try:
-            fit = fit_gaussian(particles)
-        except ValueError:
-            return [(None, "fit_gaussian", None, "fit_error")]
-        try:
-            values = (
-                kl_gaussians(fit, expected_by_step[step]),
-                kl_gaussians(expected_by_step[step], fit),
-                kl_gaussians(fit, exact_by_step[step]),
-                kl_gaussians(exact_by_step[step], fit),
-            )
-        except ValueError:
-            return [(fit.ridge, "kl", None, "kl_error")]
-        return [(fit.ridge, name, v, "ok") for name, v in zip(KL_METRICS, values)]
+    observe keeps each step's fit (None where the fit fails), O(d^2) per
+    step and no particles. emit stacks a run's fits and computes each of
+    the four KL series in one `kl_gaussians` call against stacks of the
+    reference posteriors, which are built once per problem, so their
+    Cholesky factors are shared by all of its runs. If a stacked call
+    raises, every step is measured again on its own, so only the steps
+    whose KL fails become kl_error rows.
+    """
+    expected = GaussianSummary.stack([expected_posterior(problem.center, t) for t in range(n_steps + 1)])
+    exact = GaussianSummary.stack([exact_posterior(problem, t) for t in range(n_steps + 1)])
 
-    return measure
+    def observe(step: int, particles: np.ndarray) -> GaussianSummary | None:
+        try:
+            return fit_gaussian(particles)
+        except ValueError:
+            return None
+
+    def kls(fit: GaussianSummary, expected_t: GaussianSummary, exact_t: GaussianSummary) -> tuple:
+        """The KL_METRICS values of fit (one summary, or a stack) and the
+        matching references."""
+        return (kl_gaussians(fit, expected_t), kl_gaussians(expected_t, fit),
+                kl_gaussians(fit, exact_t), kl_gaussians(exact_t, fit))
+
+    def emit(observed: list[tuple]) -> list[tuple]:
+        fitted = [(step, fit) for step, fit in observed if fit is not None]
+        values = {}
+        if fitted:
+            steps = [step for step, _ in fitted]
+            # a run fitted at every step reads the whole reference stacks, which
+            # keeps their factors cached for the sub-stacks of the other runs
+            references = (expected, exact) if len(steps) == n_steps + 1 else (expected[steps], exact[steps])
+            try:
+                series = kls(GaussianSummary.stack([fit for _, fit in fitted]), *references)
+                values = dict(zip(steps, zip(*series)))
+            except ValueError:
+                for step, fit in fitted:
+                    try:
+                        values[step] = kls(fit, expected[step], exact[step])
+                    except ValueError:
+                        values[step] = None
+        rows = []
+        for step, fit in observed:
+            if fit is None:
+                rows.append((None, step, "fit_gaussian", None, "fit_error"))
+            elif values[step] is None:
+                rows.append((fit.ridge, step, "kl", None, "kl_error"))
+            else:
+                rows.extend((fit.ridge, step, name, v, "ok") for name, v in zip(KL_METRICS, values[step]))
+        return rows
+
+    return Measure(observe, emit)
 
 
 def run_synthetic(config: ExperimentConfig) -> tuple[list[tuple], list[str]]:
@@ -253,13 +304,16 @@ def _pose_init(seed: int, n: int) -> np.ndarray:
     return np.concatenate([translations, rotations], axis=1)
 
 
-def _pose_measure(true_pose):
-    """measure(step, particles): translation and rotation error of the mean pose."""
-    def measure(step: int, particles: np.ndarray) -> list[tuple]:
-        trans_cm, rot_deg = pose_errors(mean_pose(particles), true_pose)
-        return [(None, "trans_err_cm", trans_cm, "ok"), (None, "rot_err_deg", rot_deg, "ok")]
+def _pose_measure(true_pose) -> Measure:
+    """The pose measure: translation and rotation error of each step's mean pose."""
+    def observe(step: int, particles: np.ndarray) -> tuple[float, float]:
+        return pose_errors(mean_pose(particles), true_pose)
 
-    return measure
+    def emit(observed: list[tuple]) -> list[tuple]:
+        return [(None, step, metric, v, "ok")
+                for step, errors in observed for metric, v in zip(POSE_METRICS, errors)]
+
+    return Measure(observe, emit)
 
 
 def run_pose(config: ExperimentConfig) -> tuple[list[tuple], list[str]]:

@@ -6,20 +6,38 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dtrtri, dtrtrs
 
 from .pose import PoseState
 
 
+def _require(ok, describe) -> None:
+    """Raise ValueError(describe(i)) at the first member i for which `ok` is
+    False. For one summary `ok` is a single flag and i is (), so describe can
+    index a per-member array with it; for a stack the message starts with
+    the member's index."""
+    if ok.ndim == 0:
+        if not ok:
+            raise ValueError(describe(()))
+    elif not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"stack member {i}: {describe(i)}")
+
+
 @dataclass(frozen=True)
 class GaussianSummary:
-    """Mean vector and covariance matrix, fitted to particles or analytic.
+    """Mean vector and covariance matrix, fitted to particles or analytic,
+    or a stack of them.
 
-    `ridge` records the diagonal regularization applied by `fit_gaussian`
-    (None for analytic summaries); it is logged per run because it affects
-    downstream KL values. Mean and covariance are read-only copies, so the
-    Cholesky factor cached on first use cannot go stale. Construction
-    raises ValueError on non-finite or asymmetric input.
+    A stack carries a leading axis: means (k, d) and covariances
+    (k, d, d). `GaussianSummary.stack` builds one, and indexing a stack
+    gives its members or a sub-stack. `ridge` records the diagonal
+    regularization applied by `fit_gaussian` (None for analytic summaries
+    and stacks); it is logged per run because it affects downstream KL
+    values. Mean and covariance are read-only copies, so the Cholesky
+    factor cached on first use cannot go stale. Construction raises
+    ValueError on non-finite or asymmetric input, naming a stack's first
+    such member.
     """
 
     mean: np.ndarray
@@ -29,38 +47,83 @@ class GaussianSummary:
     def __post_init__(self) -> None:
         mean = np.array(self.mean, dtype=np.float64, copy=True)
         cov = np.array(self.covariance, dtype=np.float64, copy=True)
-        if mean.ndim != 1:
-            raise ValueError(f"mean must be 1-d, got shape {mean.shape}")
-        d = mean.shape[0]
-        if cov.shape != (d, d):
-            raise ValueError(f"covariance must be ({d}, {d}), got {cov.shape}")
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise ValueError("mean and covariance must not contain infs or NaNs")
-        asym = float(np.abs(cov - cov.T).max(initial=0.0))
-        scale = max(1.0, float(np.abs(cov).max(initial=0.0)))
-        if asym > 1e-12 * scale:
-            raise ValueError(f"covariance asymmetric: max |S - S^T| = {asym:g}")
+        if mean.ndim not in (1, 2):
+            raise ValueError(f"mean must be 1-d (2-d for a stack), got shape {mean.shape}")
+        d = mean.shape[-1]
+        if cov.shape != mean.shape + (d,):
+            raise ValueError(f"covariance must be {mean.shape + (d,)}, got {cov.shape}")
+        _require(np.isfinite(mean).all(axis=-1) & np.isfinite(cov).all(axis=(-2, -1)),
+                 lambda i: "mean and covariance must not contain infs or NaNs")
+        asym = np.abs(cov - np.swapaxes(cov, -1, -2)).max(axis=(-2, -1), initial=0.0)
+        scale = np.abs(cov).max(axis=(-2, -1), initial=1.0)  # max(1, max |S_ij|)
+        _require(asym <= 1e-12 * scale, lambda i: f"covariance asymmetric: max |S - S^T| = {asym[i]:g}")
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
 
+    @classmethod
+    def stack(cls, summaries) -> GaussianSummary:
+        """The summaries, all of one dimension, stacked along a new leading axis."""
+        return cls(np.stack([s.mean for s in summaries]), np.stack([s.covariance for s in summaries]))
+
+    def __getitem__(self, index) -> GaussianSummary:
+        """A stack's member (an int index) or sub-stack (a slice or a list of
+        indices), sharing the stack's Cholesky factors and their inverses
+        where they are cached."""
+        if self.mean.ndim != 2:
+            raise TypeError("only a stack of summaries can be indexed")
+        part = GaussianSummary(self.mean[index], self.covariance[index])
+        cached = self.__dict__
+        if "cholesky" in cached:
+            factor, logdet = cached["cholesky"]
+            logdet = logdet[index]
+            part.__dict__["cholesky"] = (factor[index], float(logdet) if logdet.ndim == 0 else logdet)
+        if "inverse_factor" in cached:
+            part.__dict__["inverse_factor"] = cached["inverse_factor"][index]
+        return part
+
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
     @cached_property
-    def cholesky(self) -> tuple[np.ndarray, float]:
-        """(lower Cholesky factor, ln det covariance), computed on first use.
+    def cholesky(self) -> tuple[np.ndarray, float | np.ndarray]:
+        """(lower Cholesky factor, ln det covariance), computed on first use;
+        a stack is factored in one batched call and gets one of each per member.
 
-        Raises LinAlgError if the covariance is not positive definite and
-        ValueError if the factor is not finite; neither outcome is cached.
+        Raises LinAlgError if a covariance is not positive definite and
+        ValueError if a factor is not finite; neither outcome is cached.
         """
         factor = np.linalg.cholesky(self.covariance)
-        if not np.isfinite(factor).all():
-            raise ValueError("covariance has a non-finite Cholesky factor")
+        _require(np.isfinite(factor).all(axis=(-2, -1)),
+                 lambda i: "covariance has a non-finite Cholesky factor")
         factor.setflags(write=False)
-        return factor, 2.0 * float(np.sum(np.log(np.diag(factor))))
+        logdet = 2.0 * np.sum(np.log(np.diagonal(factor, axis1=-2, axis2=-1)), axis=-1)
+        return factor, float(logdet) if logdet.ndim == 0 else logdet
+
+    @cached_property
+    def inverse_factor(self) -> np.ndarray:
+        """Inverse of the lower Cholesky factor (of each stacked member),
+        computed on first use; a stack applies it to every KL it enters as
+        the reference.
+
+        Each member goes through LAPACK's triangular inversion as the
+        transposed upper factor in Fortran order, without per-call
+        validation (the factor is checked finite when it is computed).
+        """
+        factor = self.cholesky[0]
+        inverse = np.empty_like(factor)
+        d = self.dim
+        for member, out in zip(factor.reshape(-1, d, d), inverse.reshape(-1, d, d)):
+            x, info = dtrtri(member.T, lower=0)
+            if info > 0:
+                raise np.linalg.LinAlgError(f"singular matrix: zero diagonal {info - 1}")
+            if info < 0:
+                raise ValueError(f"illegal value in argument {-info} of dtrtri")
+            out[...] = x.T
+        inverse.setflags(write=False)
+        return inverse
 
 
 @dataclass(frozen=True)
@@ -99,17 +162,25 @@ def fit_gaussian(particles: np.ndarray) -> GaussianSummary:
     return GaussianSummary(mean, cov, ridge=ridge)
 
 
-def _factor(g: GaussianSummary, name: str) -> tuple[np.ndarray, float]:
+def _factor(g: GaussianSummary, name: str) -> tuple[np.ndarray, float | np.ndarray]:
     """g's cached Cholesky factor and log-determinant, or a ValueError that
-    names the argument and gives the eigenvalue range."""
+    names the argument and gives the eigenvalue range (of a stack's first
+    member that is not positive definite)."""
     try:
         return g.cholesky
     except np.linalg.LinAlgError:
-        eigs = np.linalg.eigvalsh(g.covariance)
-        raise ValueError(
-            f"{name} covariance is not positive definite "
-            f"(eigenvalues in [{eigs.min():g}, {eigs.max():g}])"
-        ) from None
+        pass
+    if g.mean.ndim == 2:
+        for i in range(g.mean.shape[0]):
+            try:
+                _factor(g[i], name)
+            except ValueError as exc:
+                raise ValueError(f"stack member {i}: {exc}") from None
+    eigs = np.linalg.eigvalsh(g.covariance)
+    raise ValueError(
+        f"{name} covariance is not positive definite "
+        f"(eigenvalues in [{eigs.min():g}, {eigs.max():g}])"
+    )
 
 
 def _solve_lower(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -128,7 +199,7 @@ def _solve_lower(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def kl_gaussians(p: GaussianSummary, q: GaussianSummary) -> float:
+def kl_gaussians(p: GaussianSummary, q: GaussianSummary) -> float | np.ndarray:
     """KL(p || q) between multivariate Gaussians in closed form.
 
     0.5 * [tr(Sq^-1 Sp) + (mq - mp)^T Sq^-1 (mq - mp) - d
@@ -136,26 +207,36 @@ def kl_gaussians(p: GaussianSummary, q: GaussianSummary) -> float:
 
     evaluated through Cholesky factors; neither covariance is explicitly
     inverted. Each summary is factored once, on first use, and its factor
-    and log-determinant are reused by every later KL it enters. Raises
-    ValueError with an eigenvalue diagnostic if either covariance is not
-    positive definite, and ValueError on non-finite input.
+    and log-determinant are reused by every later KL it enters. p and q may
+    also be stacks of equal length: the result is then an array of one KL
+    per stacked pair, from one batched Cholesky per stack, and the
+    triangular solves become batched products with q's inverse factors,
+    which are computed once per stack (`GaussianSummary.inverse_factor`).
+    Raises ValueError with an eigenvalue diagnostic if a
+    covariance is not positive definite, and ValueError on non-finite
+    input, on a KL that is not finite (a term overflowed) and on a KL
+    below -1e-8. For stacks the message is "stack member i: " followed by
+    the message of the first failing member i on its own.
     """
-    if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
+    if p.mean.shape != q.mean.shape:
+        raise ValueError(f"shape mismatch: mean {p.mean.shape} vs {q.mean.shape}")
     d = p.dim
     lq, logdet_q = _factor(q, "second (reference)")
     lp, logdet_p = _factor(p, "first")
-    a = _solve_lower(lq, lp)
-    trace_term = float(np.sum(a * a))
     shift = q.mean - p.mean
-    if not np.isfinite(shift).all():
-        raise ValueError("mean difference must not contain infs or NaNs")
-    u = _solve_lower(lq, shift)
-    maha = float(u @ u)
-    kl = 0.5 * (trace_term + maha - d + logdet_q - logdet_p)
-    if kl < -1e-8:
-        raise ValueError(f"KL evaluated to {kl:g} < 0; inputs are inconsistent")
-    return max(kl, 0.0)
+    _require(np.isfinite(shift).all(axis=-1), lambda i: "mean difference must not contain infs or NaNs")
+    if lq.ndim == 3:  # stacks: batched products with q's cached inverse factors
+        a = q.inverse_factor @ lp
+        u = (q.inverse_factor @ shift[..., None])[..., 0]
+        maha = np.sum(u * u, axis=-1)
+    else:
+        a, u = _solve_lower(lq, lp), _solve_lower(lq, shift)
+        maha = u @ u
+    kl = 0.5 * (np.sum(a * a, axis=(-2, -1)) + maha - d + logdet_q - logdet_p)
+    _require(np.isfinite(kl), lambda i: f"KL evaluated to {kl[i]:g}; a term overflowed")
+    _require(kl >= -1e-8, lambda i: f"KL evaluated to {kl[i]:g} < 0; inputs are inconsistent")
+    kl = np.maximum(kl, 0.0)
+    return float(kl) if kl.ndim == 0 else kl
 
 
 def wasserstein_exact(a: np.ndarray, b: np.ndarray) -> AssignmentResult:

@@ -14,6 +14,10 @@ import numpy as np
 import scipy.linalg
 from scipy.spatial.transform import Rotation
 
+from particleflow.experiments import KL_METRICS, Measure
+from particleflow.losses import exact_posterior, expected_posterior
+from particleflow.metrics import fit_gaussian
+
 
 @dataclass(frozen=True)
 class QuadraticWellLoss:
@@ -204,6 +208,11 @@ def fresh_factor_kl(p_mean, p_cov, q_mean, q_cov):
     """KL(p || q) with both covariances factored afresh and every triangular
     solve through scipy.linalg.solve_triangular, in the library's order of
     operations (a bitwise oracle for the cached-factor path)."""
+    return max(unclamped_fresh_factor_kl(p_mean, p_cov, q_mean, q_cov), 0.0)
+
+
+def unclamped_fresh_factor_kl(p_mean, p_cov, q_mean, q_cov):
+    """fresh_factor_kl before it is clamped at 0: possibly negative, inf or nan."""
     d = p_mean.shape[0]
     lq = np.linalg.cholesky(q_cov)
     lp = np.linalg.cholesky(p_cov)
@@ -213,7 +222,39 @@ def fresh_factor_kl(p_mean, p_cov, q_mean, q_cov):
     maha = float(u @ u)
     logdet_q = 2.0 * float(np.sum(np.log(np.diag(lq))))
     logdet_p = 2.0 * float(np.sum(np.log(np.diag(lp))))
-    return max(0.5 * (trace_term + maha - d + logdet_q - logdet_p), 0.0)
+    return 0.5 * (trace_term + maha - d + logdet_q - logdet_p)
+
+
+def per_step_kl_measure(problem, n_steps):
+    """The synthetic task's measure read one step at a time: observe returns
+    a step's rows at once, each KL from fresh factors, and emit only joins
+    them. A step is a fit_error row if the fit raises and a kl_error row if
+    any of its four KLs fails (a covariance that is not positive definite,
+    a result that is not finite or below -1e-8); otherwise it is one ok row
+    per KL_METRICS entry. The per-run measure must give the same rows in
+    the same order."""
+    expected = [expected_posterior(problem.center, t) for t in range(n_steps + 1)]
+    exact = [exact_posterior(problem, t) for t in range(n_steps + 1)]
+
+    def kl(p, q):
+        value = unclamped_fresh_factor_kl(p.mean, p.covariance, q.mean, q.covariance)
+        if not (math.isfinite(value) and value >= -1e-8):
+            raise ValueError(f"KL evaluated to {value}")
+        return max(value, 0.0)
+
+    def observe(step, particles):
+        try:
+            fit = fit_gaussian(particles)
+        except ValueError:
+            return [(None, step, "fit_gaussian", None, "fit_error")]
+        e, x = expected[step], exact[step]
+        try:
+            values = [kl(fit, e), kl(e, fit), kl(fit, x), kl(x, fit)]
+        except (ValueError, np.linalg.LinAlgError):
+            return [(fit.ridge, step, "kl", None, "kl_error")]
+        return [(fit.ridge, step, name, v, "ok") for name, v in zip(KL_METRICS, values)]
+
+    return Measure(observe, lambda observed: [row for _, rows in observed for row in rows])
 
 
 def random_spd_pair(gen, d, min_eig=0.5, max_eig=2.0, mean_offset=1.5):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from particleflow import experiments
 from particleflow.config import make_config
 from particleflow.experiments import (
     HEADER,
     SELECTION_METRIC,
+    Measure,
     _sweep,
     auto_grid_center,
     grid_values,
@@ -14,6 +16,8 @@ from particleflow.experiments import (
     run_theorem,
 )
 from particleflow.flow import gradient_coefficient
+
+from reference import per_step_kl_measure
 
 
 def records(rows):
@@ -108,12 +112,13 @@ def test_sweep_run_failed_row_names_the_failing_step(failing):
         "grid_center": 0.1, "grid_orders": 1, "grid_points_per_order": 1,
     })
 
-    def measure(step, particles):
+    def observe(step, particles):
         if failing == "measure" and step == k:
             raise ValueError("measurement failed")
-        return [(None, "loss", float(np.sum(particles * particles)), "ok")]
+        return float(np.sum(particles * particles))
 
-    # a failing measure names the step it measured; a failing stepping
+    measure = Measure(observe, lambda observed: [(None, step, "loss", v, "ok") for step, v in observed])
+    # a failing observe names the step it observed; a failing stepping
     # call names the step it was making
     problem = _NanGradientBowl(k if failing == "stepping" else np.inf)
     expected = k if failing == "measure" else k + 1
@@ -125,6 +130,31 @@ def test_sweep_run_failed_row_names_the_failing_step(failing):
     assert all(f" step={expected}: " in line for line in failures) and len(failures) == 2
     measured = sorted({int(r["step"]) for r in rows if r["metric"] == "loss"})
     assert measured == list(range(k + (failing == "stepping")))
+
+
+def test_per_run_measure_keeps_the_rows_of_a_per_step_measure(monkeypatch):
+    # n=1 runs give fit_error steps; at seed 1 the flow at eta=9869604401.089361
+    # and gd at eta=1e9 overflow a KL at step 17 (kl_error); the diverging grid
+    # edges fail mid-run (run_failed)
+    cfg = make_config("synthetic", overrides={
+        "dims": (4,), "n_particles": (1, 12), "n_steps": 20, "seeds": (1,),
+        "methods": ("flow", "gd"), "grid_orders": 30, "grid_points_per_order": 1,
+    })
+    rows, failures = run_synthetic(cfg)
+    monkeypatch.setattr(experiments, "_kl_measure", per_step_kl_measure)
+    reference_rows, reference_failures = run_synthetic(cfg)
+    kl_errors = [(r["method"], r["eta"], r["step"]) for r in records(rows) if r["status"] == "kl_error"]
+    assert kl_errors == [("flow", "9869604401.089361", "17"), ("gd", "1000000000.0", "17")]
+    statuses = {r["status"] for r in records(rows)}
+    assert {"fit_error", "kl_error", "error"} <= statuses
+    assert any(r["metric"] == "run_failed" and int(r["step"]) < 20 for r in records(rows))
+    value = HEADER.index("value")
+    # run, step, metric and status of every row, in order; ridge bit for bit
+    assert [r[:value] + r[value + 1:] for r in rows] == [r[:value] + r[value + 1:] for r in reference_rows]
+    assert failures == reference_failures
+    for row, reference in zip(rows, reference_rows):
+        if row[value] != reference[value]:
+            assert float(row[value]) == pytest.approx(float(reference[value]), rel=1e-12)
 
 
 def test_header_exact():

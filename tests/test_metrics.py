@@ -151,6 +151,97 @@ def test_kl_factors_each_summary_once(monkeypatch):
     assert len(calls) == 3
 
 
+def test_kl_factors_each_stack_once(monkeypatch):
+    # the per-run measure's four KL series: one batched factor per stack,
+    # and a sub-stack of a factored stack reuses its factor
+    gen = np.random.default_rng(6)
+    pairs = [random_spd_pair(gen, 4) for _ in range(5)]
+    expected = GaussianSummary.stack([GaussianSummary(m, s) for (m, s), _ in pairs])
+    exact = GaussianSummary.stack([GaussianSummary(m, s) for _, (m, s) in pairs])
+    fits = GaussianSummary.stack([fit_gaussian(gen.standard_normal((20, 4))) for _ in range(5)])
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    for reference in (expected, exact):
+        assert kl_gaussians(fits, reference).shape == (5,)
+        assert kl_gaussians(reference, fits).shape == (5,)
+    assert calls == [(5, 4, 4)] * 3
+    part = [0, 3]
+    assert np.array_equal(kl_gaussians(fits[part], exact[part]), kl_gaussians(fits, exact)[part])
+    assert kl_gaussians(fits[3], exact[3]) == kl_gaussians(fits, exact)[3]
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("d", [3, 50])
+@pytest.mark.parametrize("scale", [1e-12, 1e12])
+def test_stacked_kl_matches_scalar_kl(d, scale):
+    # means near 1e6, both covariances at `scale`, and fits to n <= d
+    # particles, whose covariance sits at the ridge floor
+    gen = np.random.default_rng(d)
+    root = math.sqrt(scale)
+    ps, qs = [], []
+    for _ in range(4):
+        (mp, sp), (mq, sq) = random_spd_pair(gen, d)
+        ps.append(GaussianSummary(1e6 + root * mp, scale * sp))
+        qs.append(GaussianSummary(1e6 + root * mq, scale * sq))
+    for n in (2, d // 2 + 1):
+        fit = fit_gaussian(1e6 + root * gen.standard_normal((n, d)))
+        assert fit.ridge == default_ridge(fit.covariance - fit.ridge * np.eye(d))
+        ps.append(fit)
+        qs.append(qs[0])
+    p, q = GaussianSummary.stack(ps), GaussianSummary.stack(qs)
+    for (a, b), members in (((p, q), zip(ps, qs)), ((q, p), zip(qs, ps))):
+        stacked = kl_gaussians(a, b)
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (len(ps),)
+        scalar = [kl_gaussians(x, y) for x, y in members]
+        assert all(isinstance(v, float) for v in scalar)
+        np.testing.assert_allclose(stacked, scalar, rtol=1e-12, atol=0.0)
+
+
+def test_stacked_kl_names_the_member_that_fails_as_the_scalar_path_does():
+    good = GaussianSummary(np.zeros(3), np.eye(3))
+    bad = GaussianSummary(np.ones(3), np.diag([1.0, -1.0, 1.0]))
+    members = GaussianSummary.stack([good, good, bad, good])
+    references = GaussianSummary.stack([good] * 4)
+    for stacked, scalar in (((members, references), (bad, good)), ((references, members), (good, bad))):
+        with pytest.raises(ValueError) as one:
+            kl_gaussians(*scalar)
+        with pytest.raises(ValueError) as many:
+            kl_gaussians(*stacked)
+        assert str(many.value) == f"stack member 2: {one.value}"
+
+
+def test_kl_that_overflows_raises_unstacked_and_stacked():
+    # the trace term d * 1e308 of a covariance near the float limit against
+    # a unit reference overflows: an error, never an inf KL
+    unit = GaussianSummary(np.zeros(3), np.eye(3))
+    huge = GaussianSummary(np.zeros(3), 1e308 * np.eye(3))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="KL evaluated to inf") as one:
+        kl_gaussians(huge, unit)
+    stack = GaussianSummary.stack([unit, huge, unit])
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as many:
+        kl_gaussians(stack, GaussianSummary.stack([unit] * 3))
+    assert str(many.value) == f"stack member 1: {one.value}"
+    assert kl_gaussians(GaussianSummary.stack([unit, unit]), GaussianSummary.stack([unit, unit])).tolist() == [0.0, 0.0]
+
+
+def test_stack_rejects_mismatched_shapes_and_scalar_indexing():
+    stack = GaussianSummary.stack([GaussianSummary(np.zeros(3), np.eye(3))] * 2)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        kl_gaussians(stack, GaussianSummary(np.zeros(3), np.eye(3)))
+    with pytest.raises(TypeError):
+        GaussianSummary(np.zeros(3), np.eye(3))[0]
+    cov = np.stack([np.eye(2), np.eye(2)])
+    cov[1, 0, 1] = 1e-6
+    with pytest.raises(ValueError, match="stack member 1: covariance asymmetric"):
+        GaussianSummary(np.zeros((2, 2)), cov)
+
+
 def test_kl_failed_factor_is_not_cached_and_names_the_argument():
     good = GaussianSummary(np.zeros(2), np.eye(2))
     singular = GaussianSummary(np.zeros(2), np.diag([1.0, -1.0]))
