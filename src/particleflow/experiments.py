@@ -247,8 +247,8 @@ def _kl_measure(problem, n_steps: int) -> Measure:
         values = {}
         if fitted:
             steps = [step for step, _ in fitted]
-            # a run fitted at every step reads the whole reference stacks, which
-            # keeps their factors cached for the sub-stacks of the other runs
+            # a run fitted at every step reads the whole reference stacks and
+            # their cached factors; a partial run's sub-stacks factor themselves
             references = (expected, exact) if len(steps) == n_steps + 1 else (expected[steps], exact[steps])
             try:
                 series = kls(GaussianSummary.stack([fit for _, fit in fitted]), *references)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri, dtrtrs
+from scipy.linalg.lapack import dtrtrs
 
 from .pose import PoseState
 
@@ -69,19 +69,10 @@ class GaussianSummary:
 
     def __getitem__(self, index) -> GaussianSummary:
         """A stack's member (an int index) or sub-stack (a slice or a list of
-        indices), sharing the stack's Cholesky factors and their inverses
-        where they are cached."""
+        indices), which factors itself on first use."""
         if self.mean.ndim != 2:
             raise TypeError("only a stack of summaries can be indexed")
-        part = GaussianSummary(self.mean[index], self.covariance[index])
-        cached = self.__dict__
-        if "cholesky" in cached:
-            factor, logdet = cached["cholesky"]
-            logdet = logdet[index]
-            part.__dict__["cholesky"] = (factor[index], float(logdet) if logdet.ndim == 0 else logdet)
-        if "inverse_factor" in cached:
-            part.__dict__["inverse_factor"] = cached["inverse_factor"][index]
-        return part
+        return GaussianSummary(self.mean[index], self.covariance[index])
 
     @property
     def dim(self) -> int:
@@ -105,23 +96,9 @@ class GaussianSummary:
     @cached_property
     def inverse_factor(self) -> np.ndarray:
         """Inverse of the lower Cholesky factor (of each stacked member),
-        computed on first use; a stack applies it to every KL it enters as
-        the reference.
-
-        Each member goes through LAPACK's triangular inversion as the
-        transposed upper factor in Fortran order, without per-call
-        validation (the factor is checked finite when it is computed).
-        """
-        factor = self.cholesky[0]
-        inverse = np.empty_like(factor)
-        d = self.dim
-        for member, out in zip(factor.reshape(-1, d, d), inverse.reshape(-1, d, d)):
-            x, info = dtrtri(member.T, lower=0)
-            if info > 0:
-                raise np.linalg.LinAlgError(f"singular matrix: zero diagonal {info - 1}")
-            if info < 0:
-                raise ValueError(f"illegal value in argument {-info} of dtrtri")
-            out[...] = x.T
+        computed on first use in one batched call; a stack applies it to
+        every KL it enters as the reference."""
+        inverse = np.linalg.inv(self.cholesky[0])
         inverse.setflags(write=False)
         return inverse
 
@@ -216,7 +193,9 @@ def kl_gaussians(p: GaussianSummary, q: GaussianSummary) -> float | np.ndarray:
     covariance is not positive definite, and ValueError on non-finite
     input, on a KL that is not finite (a term overflowed) and on a KL
     below -1e-8. For stacks the message is "stack member i: " followed by
-    the message of the first failing member i on its own.
+    the message member i gives on its own, for one failing member i (not
+    always the lowest: q is factored before p, and each check names the
+    first member that fails it).
     """
     if p.mean.shape != q.mean.shape:
         raise ValueError(f"shape mismatch: mean {p.mean.shape} vs {q.mean.shape}")

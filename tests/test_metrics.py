@@ -152,8 +152,7 @@ def test_kl_factors_each_summary_once(monkeypatch):
 
 
 def test_kl_factors_each_stack_once(monkeypatch):
-    # the per-run measure's four KL series: one batched factor per stack,
-    # and a sub-stack of a factored stack reuses its factor
+    # the per-run measure's four KL series: one batched factor per stack
     gen = np.random.default_rng(6)
     pairs = [random_spd_pair(gen, 4) for _ in range(5)]
     expected = GaussianSummary.stack([GaussianSummary(m, s) for (m, s), _ in pairs])
@@ -171,10 +170,6 @@ def test_kl_factors_each_stack_once(monkeypatch):
         assert kl_gaussians(fits, reference).shape == (5,)
         assert kl_gaussians(reference, fits).shape == (5,)
     assert calls == [(5, 4, 4)] * 3
-    part = [0, 3]
-    assert np.array_equal(kl_gaussians(fits[part], exact[part]), kl_gaussians(fits, exact)[part])
-    assert kl_gaussians(fits[3], exact[3]) == kl_gaussians(fits, exact)[3]
-    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("d", [3, 50])
