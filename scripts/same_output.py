@@ -9,16 +9,18 @@ diverging synthetic and pose runs, and one of flow runs whose kernel
 powers overflow at d=3 and d=50), once from a checkout of BASE_REV
 (`git archive` into a temporary directory) and once from the working
 tree. Each pair of CSVs is compared byte for byte, and each pair of
-manifests line for line without its `#` header lines (timestamp and
-elapsed time) and its `out=` line (the two trees write to different
-paths). One verdict per file is printed, and the exit status is 1 if any
-pair differs or a run fails. A differing CSV pair also gets its row
-counts, how many rows match on run, step and metric, the largest
-relative deviation of the ridge and value columns over the matched rows,
-whether both hold the same run_failed, fit_error and kl_error rows (same
-run and step), and how many ok rows on each side hold an inf or nan. A
-differing manifest pair gets every line only in BASE_REV's manifest
-(`-`) and every line only in the working tree's (`+`).
+manifests line for line without its `#` header lines (timestamp, elapsed
+time and numeric environment) and its `out=` line (the two trees write
+to different paths). One verdict per file is printed, and the exit
+status is 1 if any pair differs or a run fails. A differing CSV pair
+also gets its row counts, how many rows match on run, step and metric,
+the largest relative deviation of the ridge and value columns over the
+matched rows, how many matched rows differ for each metric that has
+such rows (against that metric's matched rows), whether both hold the
+same run_failed, fit_error and kl_error rows (same run and step), and
+how many ok rows on each side hold an inf or nan. A differing manifest
+pair gets every line only in BASE_REV's manifest (`-`) and every line
+only in the working tree's (`+`).
 """
 import csv
 import difflib
@@ -80,9 +82,10 @@ ERROR_ROWS = {"run_failed": ("metric", "run_failed"), "fit_error": ("status", "f
 def _explain(left: bytes, right: bytes) -> str:
     """Why two result CSVs differ: how many rows each holds and how many
     match on ROW_KEY, the largest relative deviation of ridge and value over
-    the matched rows, whether their run_failed, fit_error and kl_error rows
-    sit at the same runs and steps, and how many ok rows on each side hold a
-    value that is not finite."""
+    the matched rows, for each metric with a differing matched row how many
+    of its matched rows differ, whether their run_failed, fit_error and
+    kl_error rows sit at the same runs and steps, and how many ok rows on
+    each side hold a value that is not finite."""
     def parse(data: bytes) -> tuple[int, dict]:
         rows = list(csv.DictReader(io.StringIO(data.decode())))
         return len(rows), {tuple(row[k] for k in ROW_KEY): row for row in rows}
@@ -91,7 +94,11 @@ def _explain(left: bytes, right: bytes) -> str:
     work_count, work_rows = parse(right)
     shared = base_rows.keys() & work_rows.keys()
     deviation = 0.0
+    per_metric: dict[str, list[int]] = {}  # metric -> [differing, matched] rows
     for key in shared:
+        counts = per_metric.setdefault(base_rows[key]["metric"], [0, 0])
+        counts[0] += base_rows[key] != work_rows[key]
+        counts[1] += 1
         for field in ("ridge", "value"):
             a, b = base_rows[key][field], work_rows[key][field]
             if a == b:
@@ -103,6 +110,8 @@ def _explain(left: bytes, right: bytes) -> str:
             gap = abs(a - b)
             if gap != 0.0:  # nan if either side is nan
                 deviation = max(deviation, gap / max(abs(a), abs(b)) if math.isfinite(gap) else math.inf)
+    moved = ", ".join(f"{metric} {differing}/{matched}"
+                      for metric, (differing, matched) in sorted(per_metric.items()) if differing)
     placed = []
     for name, (column, marker) in ERROR_ROWS.items():
         base = {key for key, row in base_rows.items() if row[column] == marker}
@@ -117,7 +126,8 @@ def _explain(left: bytes, right: bytes) -> str:
         return sum(row["status"] == "ok" and not math.isfinite(float(row["value"])) for row in rows.values())
 
     return (f"{base_count} base rows, {work_count} work rows, {len(shared)} matched; "
-            f"max relative deviation of ridge and value {deviation:.3g}; {'; '.join(placed)}; "
+            f"max relative deviation of ridge and value {deviation:.3g}; "
+            f"differing matched rows per metric: {moved or 'none'}; {'; '.join(placed)}; "
             f"non-finite ok values {non_finite(base_rows)} in base, {non_finite(work_rows)} in work")
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import datetime
 import itertools
 import math
+import os
+import sys
 from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
@@ -416,10 +418,28 @@ def grid_items(config: ExperimentConfig) -> dict[str, str]:
     return items
 
 
+def _numeric_environment() -> list[str]:
+    """`key=value` facts that can change floating-point results or timings:
+    numpy's version and BLAS, the core count, the BLAS thread variables
+    (`unset` if not set), and scipy's version if the run loaded scipy
+    (`not loaded` otherwise; scipy is never imported to find out)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    scipy = sys.modules.get("scipy")
+    return [
+        f"numpy={np.__version__}",
+        f"blas={blas.get('name')} {blas.get('version')}",
+        f"nproc={os.cpu_count()}",
+        *(f"{name}={os.environ.get(name, 'unset')}"
+          for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")),
+        f"scipy={scipy.__version__ if scipy is not None else 'not loaded'}",
+    ]
+
+
 def write_manifest(path: str, config: ExperimentConfig, elapsed_seconds: float,
                    failures: Sequence[str], grids: dict[str, str]) -> None:
     """Resolved config and grids (see grid_items), versions, and generator
-    name; wall-clock in the header.
+    name; wall-clock and the numeric environment (see _numeric_environment)
+    in the `#` header lines.
 
     The sorted key=value lines are followed by one `run_failed.<k>` line per
     failure reason, k = 1, 2, ... in CSV row order.
@@ -427,6 +447,7 @@ def write_manifest(path: str, config: ExperimentConfig, elapsed_seconds: float,
     lines = [
         f"# generated_at={datetime.datetime.now(datetime.timezone.utc).isoformat()}",
         f"# elapsed_seconds={elapsed_seconds:.3f}",
+        *(f"# {fact}" for fact in _numeric_environment()),
     ]
     items = {**dict(config.manifest_items()), **grids, "library_version": __version__,
              "rng_algorithm": rng.GENERATOR_NAME, "init_distribution": _INIT_DISTRIBUTIONS[config.experiment]}

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import rng
 from .metrics import GaussianSummary
@@ -80,7 +79,10 @@ def exact_posterior(loss: QuadraticProjectionLoss, upto_step: int) -> GaussianSu
     Under a standard normal prior the posterior is Gaussian with precision
     I + sum_s dir_s dir_s^T and mean precision^-1 (sum_s dir_s dir_s^T) center,
     for the directions actually sampled (not their expectation).
-    upto_step = 0 returns the prior.
+    upto_step = 0 returns the prior (exactly I and 0). The covariance is
+    formed from the inverse of the precision's lower Cholesky factor L:
+    precision^-1 = L^-T L^-1, the route `GaussianSummary.inverse_factor`
+    takes, with numpy alone.
     """
     if not 0 <= upto_step <= loss.n_steps:
         raise ValueError(
@@ -89,9 +91,9 @@ def exact_posterior(loss: QuadraticProjectionLoss, upto_step: int) -> GaussianSu
     d = loss.dim
     dirs = loss.directions[:upto_step]
     precision = np.eye(d) + dirs.T @ dirs
-    cho = scipy.linalg.cho_factor(precision, lower=True)
-    cov = scipy.linalg.cho_solve(cho, np.eye(d))
-    mean = loss.center - scipy.linalg.cho_solve(cho, loss.center)
+    inverse = np.linalg.inv(np.linalg.cholesky(precision))
+    cov = inverse.T @ inverse
+    mean = loss.center - cov @ loss.center
     return GaussianSummary(mean, 0.5 * (cov + cov.T))
 
 

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .pose import PoseState
 
@@ -166,8 +165,12 @@ def _solve_lower(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     The LAPACK call `scipy.linalg.solve_triangular(factor, b, lower=True)`
     makes for such a factor (the transposed upper system in Fortran order),
     without its per-call validation; the factor is checked finite when it
-    is computed.
+    is computed. Only a KL of two single summaries comes here (stacks use
+    their inverse factors), so `scipy.linalg.lapack` is imported on first
+    use, not at start-up.
     """
+    from scipy.linalg.lapack import dtrtrs
+
     x, info = dtrtrs(factor.T, b, lower=0, trans=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")

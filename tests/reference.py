@@ -204,6 +204,19 @@ def monte_carlo_kl(p_mean, p_cov, q_mean, q_cov, n_samples, gen):
     ))
 
 
+def cho_solve_exact_posterior(loss, upto_step):
+    """(mean, covariance) of losses.exact_posterior from scipy's
+    cho_factor/cho_solve, independent of the library's numpy inverse of
+    the Cholesky factor."""
+    d = loss.dim
+    dirs = loss.directions[:upto_step]
+    precision = np.eye(d) + dirs.T @ dirs
+    cho = scipy.linalg.cho_factor(precision, lower=True)
+    cov = scipy.linalg.cho_solve(cho, np.eye(d))
+    mean = loss.center - scipy.linalg.cho_solve(cho, loss.center)
+    return mean, 0.5 * (cov + cov.T)
+
+
 def fresh_factor_kl(p_mean, p_cov, q_mean, q_cov):
     """KL(p || q) with both covariances factored afresh and every triangular
     solve through scipy.linalg.solve_triangular, in the library's order of

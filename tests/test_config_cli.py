@@ -1,8 +1,14 @@
 import argparse
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import particleflow
 from particleflow import experiments
 from particleflow.cli import build_parser, main
 from particleflow.config import ExperimentConfig, make_config, parse_config_file
@@ -335,6 +341,8 @@ def test_pose_manifest_records_the_grid_it_ran(tmp_path):
     assert manifest["gamma_resolved.d6"] == "8.0"
     assert manifest["init_distribution"] == "translations N(0, 0.3^2) per axis, uniform rotations"
     assert "gd_eta_convention" not in manifest and "dims" not in manifest
+    # the pose protocol loads scipy (its rotations), and the header says which
+    assert f"# scipy={sys.modules['scipy'].__version__}" in lines
 
 
 @pytest.mark.parametrize("gamma, orders, what", [
@@ -370,3 +378,34 @@ def test_cli_gradient_coefficient_overflow_fails_flow_runs(tmp_path):
     assert len(reasons) == 3
     assert all(line.endswith("step=1: gradient coefficient C * gamma**(2-d) overflows "
                              "(gamma=1e-100, dim=10)") for line in reasons)
+
+
+def test_start_up_and_synthetic_protocol_load_no_scipy(tmp_path):
+    # scipy.linalg alone takes about 260 ms of start-up; only the pose,
+    # theorem and scalar-KL paths import scipy, where they run. A subprocess,
+    # since the test oracles import scipy into this interpreter.
+    out = tmp_path / "synthetic.csv"
+    code = textwrap.dedent(f"""
+        import sys
+        import particleflow.cli
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        print(scipy_modules())
+        particleflow.cli.main(["synthetic", "--dims", "4", "--n-particles", "8", "--n-steps", "3",
+                               "--method", "flow,mcl", "--grid-orders", "1",
+                               "--grid-points-per-order", "1", "--seeds", "0", "--out", {str(out)!r}])
+        print(scipy_modules())
+    """)
+    src = str(Path(particleflow.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]", "loaded by import particleflow.cli"
+    assert lines[-1] == "[]", "loaded by the synthetic protocol"
+    manifest = (tmp_path / "synthetic.csv.manifest.txt").read_text().splitlines()
+    header = dict(line[2:].split("=", 1) for line in manifest if line.startswith("# "))
+    assert header["scipy"] == "not loaded"
+    assert {"numpy", "blas", "nproc", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+            "MKL_NUM_THREADS"} <= header.keys()

@@ -9,7 +9,7 @@ from particleflow.losses import (
 )
 from particleflow.metrics import kl_gaussians
 
-from reference import central_difference_gradient, relative_gradient_error
+from reference import central_difference_gradient, cho_solve_exact_posterior, relative_gradient_error
 
 
 def test_problem_sampling_is_deterministic():
@@ -107,6 +107,19 @@ def test_exact_posterior_mean_converges_to_center():
     err_late = np.linalg.norm(exact_posterior(problem, 200).mean - problem.center)
     assert err_late < err_mid < err_early
     assert err_late < 0.5 * err_early
+
+
+@pytest.mark.parametrize("dim", [3, 10, 50])
+def test_exact_posterior_matches_cholesky_solves(dim):
+    # the inverse-factor form agrees with scipy's cho_factor/cho_solve to
+    # 1e-12 of the largest entry, from the prior to 200 observations
+    for seed in range(5):
+        problem = sample_synthetic_problem(dim, 200, seed=seed)
+        for t in (0, 1, 25, 50, 200):
+            post = exact_posterior(problem, t)
+            mean, cov = cho_solve_exact_posterior(problem, t)
+            assert np.abs(post.mean - mean).max() <= 1e-12 * np.abs(mean).max()
+            assert np.abs(post.covariance - cov).max() <= 1e-12 * np.abs(cov).max()
 
 
 def test_exact_posterior_range_check():

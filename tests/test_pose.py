@@ -1,14 +1,9 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-import particleflow
 from particleflow.pose import (
     PoseState,
     canonicalize_rotation_vector,
@@ -209,13 +204,3 @@ def test_mean_pose_is_canonicalized():
     particles[:, 5] = 1.5 * math.pi
     state = mean_pose(particles)
     assert np.linalg.norm(state.rotation) < math.pi
-
-
-def test_cli_start_up_does_not_load_scipy_spatial():
-    # Rotation is imported where it is used: scipy.spatial costs about 80 ms
-    # of every CLI start-up, and only the pose protocol needs it
-    src = str(Path(particleflow.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, particleflow.cli; print('scipy.spatial' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
