@@ -34,9 +34,7 @@ class PoseState:
         object.__setattr__(self, "rotation", w)
 
     def rotation_matrix(self) -> np.ndarray:
-        from scipy.spatial.transform import Rotation  # see PoseRegistrationLoss._residuals
-
-        return Rotation.from_rotvec(self.rotation).as_matrix()
+        return rotation_matrices(self.rotation[None, :])[0]
 
 
 def canonicalize_rotation_vector(w: np.ndarray) -> np.ndarray:
@@ -74,26 +72,78 @@ def mean_pose(particles: np.ndarray) -> PoseState:
     return pose_unpack(np.asarray(particles, dtype=np.float64).mean(axis=0))
 
 
+def rotation_matrices(w: np.ndarray) -> np.ndarray:
+    """Rotation matrices of a batch of rotation vectors: (n, 3) -> (n, 3, 3).
+
+    Goes through the unit quaternion q = (sin(t/2)/t * w, cos(t/2)), t = |w|,
+    taking the series 0.5 - t^2/48 + t^4/3840 for sin(t/2)/t where t <= 1e-3,
+    and writes each entry as a sum of quaternion products. The operations
+    and their order are those of scipy's Rotation.from_rotvec(w).as_matrix(),
+    whose output this reproduces bit for bit.
+    """
+    x, y, z = w[:, 0], w[:, 1], w[:, 2]
+    angle = np.sqrt(x * x + y * y + z * z)
+    half = 0.5 * angle
+    small = angle <= 1e-3
+    scale = np.sin(half) / np.where(small, 1.0, angle)
+    a2 = angle[small] * angle[small]
+    scale[small] = 0.5 - a2 / 48.0 + a2 * a2 / 3840.0
+    qx, qy, qz, qw = scale * x, scale * y, scale * z, np.cos(half)
+    x2, y2, z2, w2 = qx * qx, qy * qy, qz * qz, qw * qw
+    xy, zw, xz, yw, yz, xw = qx * qy, qz * qw, qx * qz, qy * qw, qy * qz, qx * qw
+    out = np.empty((w.shape[0], 9))
+    out[:, 0] = x2 - y2 - z2 + w2
+    out[:, 1] = 2.0 * (xy - zw)
+    out[:, 2] = 2.0 * (xz + yw)
+    out[:, 3] = 2.0 * (xy + zw)
+    out[:, 4] = -x2 + y2 - z2 + w2
+    out[:, 5] = 2.0 * (yz - xw)
+    out[:, 6] = 2.0 * (xz - yw)
+    out[:, 7] = 2.0 * (yz + xw)
+    out[:, 8] = -x2 - y2 + z2 + w2
+    return out.reshape(-1, 3, 3)
+
+
 def random_rotation_vectors(gen: np.random.Generator, count: int) -> np.ndarray:
     """Rotation vectors of rotations drawn uniformly on SO(3) (via quaternions)."""
-    from scipy.spatial.transform import Rotation  # see PoseRegistrationLoss._residuals
-
     quats = gen.standard_normal((count, 4))
     quats /= np.linalg.norm(quats, axis=1, keepdims=True)
-    return Rotation.from_quat(quats).as_rotvec()
+    return _quaternion_rotation_vectors(quats)
 
 
-def _skew(w: np.ndarray) -> np.ndarray:
-    """Cross-product matrices for a batch of 3-vectors: (n, 3) -> (n, 3, 3)."""
-    n = w.shape[0]
-    s = np.zeros((n, 3, 3))
-    s[:, 0, 1] = -w[:, 2]
-    s[:, 0, 2] = w[:, 1]
-    s[:, 1, 0] = w[:, 2]
-    s[:, 1, 2] = -w[:, 0]
-    s[:, 2, 0] = -w[:, 1]
-    s[:, 2, 1] = w[:, 0]
-    return s
+# math.atan2 row by row: np.arctan2 differs from the C library's atan2 in the
+# last bit on some inputs
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+
+
+def _quaternion_rotation_vectors(quats: np.ndarray) -> np.ndarray:
+    """Rotation vectors of nonzero quaternions (x, y, z, w): (n, 4) -> (n, 3).
+
+    Each quaternion is normalized and flipped to w > 0 (a tie w = 0 is
+    broken on x, then y, then z). Its angle is t = 2 atan2(|(x, y, z)|, w),
+    and the rotation vector is t/sin(t/2) * (x, y, z), with the series
+    2 + t^2/12 + 7 t^4/2880 where t <= 1e-3. The operations and their order
+    are those of scipy's Rotation.from_quat(quats).as_rotvec(), whose output
+    this reproduces bit for bit, so every seed keeps the rotations it drew.
+    """
+    x, y, z, w = quats.T
+    q = quats / np.sqrt(x * x + y * y + z * z + w * w)[:, None]
+    x, y, z, w = q.T  # views: they follow the flip below
+    flip = (w < 0) | ((w == 0) & ((x < 0) | ((x == 0) & ((y < 0) | ((y == 0) & (z < 0))))))
+    q[flip] = -q[flip]
+    angle = 2 * _atan2(np.sqrt(x * x + y * y + z * z), w).astype(np.float64)
+    small = angle <= 1e-3
+    a2 = angle * angle
+    scale = np.where(small, 2 + a2 / 12 + 7 * a2 * a2 / 2880, angle / np.where(small, 1.0, np.sin(angle / 2)))
+    return scale[:, None] * q[:, :3]
+
+
+# the six nonzero entries of the cross-product matrix [w]x, row-major:
+# position in the flattened 3x3 matrix, component of w and its sign
+_SKEW_AT = np.array([1, 2, 3, 5, 6, 7])
+_SKEW_OF = np.array([2, 1, 2, 0, 1, 0])
+_SKEW_SIGN = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+_EYE = np.eye(3)
 
 
 def _right_jacobian(w: np.ndarray) -> np.ndarray:
@@ -102,16 +152,22 @@ def _right_jacobian(w: np.ndarray) -> np.ndarray:
     J(w) = I - (1 - cos t)/t^2 [w]x + (t - sin t)/t^3 [w]x^2 with t = |w|;
     series coefficients are used below t = 1e-4 to avoid cancellation.
     """
-    theta = np.linalg.norm(w, axis=1)
+    n = w.shape[0]
+    x, y, z = w[:, 0], w[:, 1], w[:, 2]
+    theta = np.sqrt(x * x + y * y + z * z)  # the bits of np.linalg.norm(w, axis=1)
     t2 = theta * theta
     small = theta < 1e-4
+    safe_theta = np.where(small, 1.0, theta)
     safe_t2 = np.where(small, 1.0, t2)
-    a = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / safe_t2)
-    b = np.where(small, 1.0 / 6.0 - t2 / 120.0, (theta - np.sin(theta)) / (safe_t2 * np.where(small, 1.0, theta)))
-    s = _skew(w)
+    a = (1.0 - np.cos(theta)) / safe_t2
+    b = (theta - np.sin(theta)) / (safe_t2 * safe_theta)
+    a[small] = 0.5 - t2[small] / 24.0
+    b[small] = 1.0 / 6.0 - t2[small] / 120.0
+    s = np.zeros((n, 9))
+    s[:, _SKEW_AT] = w[:, _SKEW_OF] * _SKEW_SIGN
+    s = s.reshape(n, 3, 3)
     s2 = s @ s
-    eye = np.broadcast_to(np.eye(3), s.shape)
-    return eye - a[:, None, None] * s + b[:, None, None] * s2
+    return _EYE - a[:, None, None] * s + b[:, None, None] * s2
 
 
 def noise_variance(sigma: float) -> float:
@@ -161,14 +217,8 @@ class PoseRegistrationLoss:
         """Rotation matrices (n, 3, 3) and residuals resid[n, i, k] of
         R(w_n) m_k + T_n - o_k, coordinate-major so that every reduction
         runs along the K points."""
-        # imported here: at module level scipy.spatial would load at the
-        # start-up of every CLI call, also of the protocols that never pose
-        from scipy.spatial.transform import Rotation
-
         n = x.shape[0]
-        # copy: from_rotvec needs a writable, contiguous buffer and x may be
-        # a read-only ensemble view
-        rot = Rotation.from_rotvec(np.array(x[:, 3:], dtype=np.float64)).as_matrix()
+        rot = rotation_matrices(x[:, 3:])
         rotated = (rot.reshape(3 * n, 3) @ self.model_points.T).reshape(n, 3, -1)  # one GEMM
         return rot, rotated + x[:, :3, None] - self.observed_points.T
 

@@ -296,7 +296,7 @@ def matrix_pose_errors(estimate, truth):
     exactly).
     """
     translation_cm = 100.0 * float(np.linalg.norm(estimate.translation - truth.translation))
-    relative = truth.rotation_matrix().T @ estimate.rotation_matrix()
+    relative = Rotation.from_rotvec(truth.rotation).as_matrix().T @ Rotation.from_rotvec(estimate.rotation).as_matrix()
     rotvec = Rotation.from_matrix(relative).as_rotvec()
     angle = float(np.linalg.norm(rotvec))
     if angle == 0.0:
@@ -306,3 +306,93 @@ def matrix_pose_errors(estimate, truth):
     if truth_norm > 0.0 and float(rotvec @ truth.rotation) < 0.0:
         sign = -1.0
     return translation_cm, sign * float(np.degrees(angle))
+
+
+# --- the pose likelihood as it was built on scipy's Rotation -----------------
+# Kept verbatim from the earlier pose module: the numpy rotations of
+# `particleflow.pose` must reproduce these bit for bit, so that every CSV
+# written before them stays the same.
+
+
+def scipy_rotation_matrices(w):
+    """Rotation.from_rotvec(w).as_matrix() on a writable copy of w."""
+    return Rotation.from_rotvec(np.array(w, dtype=np.float64)).as_matrix()
+
+
+def scipy_quaternion_rotation_vectors(quats):
+    """Rotation vectors of nonzero (x, y, z, w) quaternions, as drawn for
+    `random_rotation_vectors`."""
+    return Rotation.from_quat(quats).as_rotvec()
+
+
+def scipy_random_rotation_vectors(gen, count):
+    quats = gen.standard_normal((count, 4))
+    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+    return Rotation.from_quat(quats).as_rotvec()
+
+
+def skew(w):
+    """Cross-product matrices for a batch of 3-vectors: (n, 3) -> (n, 3, 3)."""
+    n = w.shape[0]
+    s = np.zeros((n, 3, 3))
+    s[:, 0, 1] = -w[:, 2]
+    s[:, 0, 2] = w[:, 1]
+    s[:, 1, 0] = w[:, 2]
+    s[:, 1, 2] = -w[:, 0]
+    s[:, 2, 0] = -w[:, 1]
+    s[:, 2, 1] = w[:, 0]
+    return s
+
+
+def right_jacobian(w):
+    """Right Jacobian of the rotation-vector exponential map, batched.
+
+    J(w) = I - (1 - cos t)/t^2 [w]x + (t - sin t)/t^3 [w]x^2 with t = |w|;
+    series coefficients are used below t = 1e-4 to avoid cancellation.
+    """
+    theta = np.linalg.norm(w, axis=1)
+    t2 = theta * theta
+    small = theta < 1e-4
+    safe_t2 = np.where(small, 1.0, t2)
+    a = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / safe_t2)
+    b = np.where(small, 1.0 / 6.0 - t2 / 120.0, (theta - np.sin(theta)) / (safe_t2 * np.where(small, 1.0, theta)))
+    s = skew(w)
+    s2 = s @ s
+    eye = np.broadcast_to(np.eye(3), s.shape)
+    return eye - a[:, None, None] * s + b[:, None, None] * s2
+
+
+def scipy_pose_residuals(problem, x):
+    """Rotation matrices (n, 3, 3) and residuals resid[n, i, k] of
+    R(w_n) m_k + T_n - o_k for a `PoseRegistrationLoss` problem."""
+    n = x.shape[0]
+    rot = Rotation.from_rotvec(np.array(x[:, 3:], dtype=np.float64)).as_matrix()
+    rotated = (rot.reshape(3 * n, 3) @ problem.model_points.T).reshape(n, 3, -1)  # one GEMM
+    return rot, rotated + x[:, :3, None] - problem.observed_points.T
+
+
+def scipy_pose_loss(problem, x):
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    if single:
+        x = x[None, :]
+    _, resid = scipy_pose_residuals(problem, x)
+    values = 0.5 * problem._scale * np.einsum("nik,nik->n", resid, resid)
+    return float(values[0]) if single else values
+
+
+def scipy_pose_grad(problem, x):
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    if single:
+        x = x[None, :]
+    n = x.shape[0]
+    rot, resid = scipy_pose_residuals(problem, x)
+    grad_t = problem._scale * resid.sum(axis=2)
+    moments = (resid.reshape(3 * n, -1) @ problem.model_points).reshape(n, 3, 3)  # (sum_k r_k m_k^T)
+    mixed = np.matmul(moments.transpose(0, 2, 1), rot)
+    torque = mixed[:, [1, 2, 0], [2, 0, 1]] - mixed[:, [2, 0, 1], [1, 2, 0]]
+    jac = right_jacobian(x[:, 3:])
+    grad_w = problem._scale * np.matmul(torque[:, None, :], jac)[:, 0]
+    out = np.concatenate([grad_t, grad_w], axis=1)
+    return out[0] if single else out

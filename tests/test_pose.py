@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,13 +7,28 @@ from scipy.spatial.transform import Rotation
 
 from particleflow.pose import (
     PoseState,
+    _quaternion_rotation_vectors,
+    _right_jacobian,
     canonicalize_rotation_vector,
     make_pose_problem,
     mean_pose,
     pose_unpack,
+    random_rotation_vectors,
+    rotation_matrices,
 )
 
-from reference import central_difference_gradient, naive_pose_gradient, pose_pack, relative_gradient_error
+from reference import (
+    central_difference_gradient,
+    naive_pose_gradient,
+    pose_pack,
+    relative_gradient_error,
+    right_jacobian,
+    scipy_pose_grad,
+    scipy_pose_loss,
+    scipy_quaternion_rotation_vectors,
+    scipy_random_rotation_vectors,
+    scipy_rotation_matrices,
+)
 
 
 def test_zero_vector_is_identity_pose():
@@ -74,6 +90,99 @@ def test_rotation_matrices_are_orthonormal():
         r = state.rotation_matrix()
         np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-10)
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-10)
+
+
+def _directions(gen, n):
+    d = gen.standard_normal((n, 3))
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+def _diverging_batches(gen, n):
+    """Rotation vectors a diverging run can reach: norms from 1e155 to 1e300,
+    where x*x + y*y + z*z overflows to inf, and rows holding inf and NaN."""
+    huge = _directions(gen, n) * 10.0 ** gen.uniform(155, 300, (n, 1))
+    rows = np.array([[np.inf, 0.0, 0.0], [np.nan, 1.0, 0.0], [-np.inf, np.inf, np.nan],
+                     [0.0, 0.0, np.nan], [1e-9, -np.inf, 0.0], [0.1, -0.2, 0.3]])
+    nonfinite = rows[gen.integers(0, len(rows), n)]
+    return [huge, nonfinite]
+
+
+@pytest.mark.parametrize("n", [1, 80])
+def test_rotation_matrices_match_scipy_bit_for_bit(n):
+    gen = np.random.default_rng(n)
+    batches = [_directions(gen, n) * 10.0 ** gen.uniform(lo, hi, (n, 1))
+               for lo, hi in [(-9, -6), (-6, -3), (-3.2, -2.8), (-3, 0), (0, 2), (2, 20), (20, 150)]]
+    # both sides of the series threshold 1e-3, exactly on it, and zero rows
+    edge = np.array([0.0, np.nextafter(1e-3, 0.0), 1e-3, np.nextafter(1e-3, 1.0)])
+    batches.append(_directions(gen, n) * gen.choice(edge, (n, 1)))
+    batches.append(np.zeros((n, 3)))
+    mixed = _directions(gen, n) * 10.0 ** gen.uniform(-9, 150, (n, 1))
+    mixed[::3] *= 1e-12
+    batches.append(mixed)
+    batches.extend(_diverging_batches(gen, n))
+    for w in batches:
+        with np.errstate(all="ignore"):
+            assert np.array_equal(rotation_matrices(w), scipy_rotation_matrices(w), equal_nan=True)
+    # a read-only, non-contiguous view as the ensemble passes it
+    x = gen.standard_normal((n, 6))
+    x.flags.writeable = False
+    assert np.array_equal(rotation_matrices(x[:, 3:]), scipy_rotation_matrices(x[:, 3:]))
+
+
+def test_pose_state_rotation_matrix_matches_scipy_bit_for_bit():
+    gen = np.random.default_rng(11)
+    for w in [np.zeros(3), np.array([2e-4, 0.0, -1e-4]), *gen.uniform(-3, 3, (20, 3))]:
+        state = PoseState(np.zeros(3), w)
+        assert np.array_equal(state.rotation_matrix(), scipy_rotation_matrices(w[None, :])[0])
+
+
+def test_quaternion_rotation_vectors_match_scipy_bit_for_bit():
+    # every quaternion over these values: w < 0, w == 0 (+0 and -0) with
+    # each tie on x, y and z, and signed zeros in every place
+    values = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-5, -1e-5]
+    grid = np.array([q for q in itertools.product(values, repeat=4) if any(q)])
+    gen = np.random.default_rng(2)
+    # angles at most 1e-3 (the series) and just above, with w of either sign
+    near = np.concatenate([_directions(gen, 200) * 10.0 ** gen.uniform(-9, -2.5, (200, 1)),
+                           gen.choice([-1.0, 1.0], (200, 1))], axis=1)
+    scaled = gen.standard_normal((300, 4)) * 10.0 ** gen.uniform(-100, 100, (300, 1))
+    for quats in (grid, near, scaled, gen.standard_normal((1, 4))):
+        assert np.array_equal(_quaternion_rotation_vectors(quats), scipy_quaternion_rotation_vectors(quats))
+
+
+@pytest.mark.parametrize("count", [1, 80, 1000])
+def test_random_rotation_vectors_match_scipy_bit_for_bit(count):
+    for seed in range(8):
+        drawn = random_rotation_vectors(np.random.default_rng(seed), count)
+        assert np.array_equal(drawn, scipy_random_rotation_vectors(np.random.default_rng(seed), count))
+
+
+@pytest.mark.parametrize("n", [1, 80])
+def test_right_jacobian_matches_the_where_form_bit_for_bit(n):
+    gen = np.random.default_rng(n + 100)
+    for lo, hi in [(-9, -5), (-5, -3), (-3, 0), (0, 2), (2, 100)]:
+        w = _directions(gen, n) * 10.0 ** gen.uniform(lo, hi, (n, 1))
+        assert np.array_equal(_right_jacobian(w), right_jacobian(w))
+        # the same batch with one row below the series threshold 1e-4
+        w[0] *= 1e-8
+        assert np.array_equal(_right_jacobian(w), right_jacobian(w))
+    assert np.array_equal(_right_jacobian(np.zeros((n, 3))), right_jacobian(np.zeros((n, 3))))
+    for w in _diverging_batches(gen, n):
+        with np.errstate(all="ignore"):
+            assert np.array_equal(_right_jacobian(w), right_jacobian(w), equal_nan=True)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 40.0])
+def test_loss_and_grad_match_scipy_form_bit_for_bit(scale):
+    for seed in range(8):
+        problem = make_pose_problem(12, sigma=0.005, seed=seed)
+        gen = np.random.default_rng(seed)
+        x = np.concatenate([0.3 * gen.standard_normal((80, 3)),
+                            scale * random_rotation_vectors(gen, 80)], axis=1)
+        assert np.array_equal(problem.loss(0, x), scipy_pose_loss(problem, x))
+        assert np.array_equal(problem.grad(0, x), scipy_pose_grad(problem, x))
+        assert problem.loss(0, x[0]) == scipy_pose_loss(problem, x[0])
+        assert np.array_equal(problem.grad(0, x[0]), scipy_pose_grad(problem, x[0]))
 
 
 # --- registration problem ----------------------------------------------------
@@ -204,3 +313,26 @@ def test_mean_pose_is_canonicalized():
     particles[:, 5] = 1.5 * math.pi
     state = mean_pose(particles)
     assert np.linalg.norm(state.rotation) < math.pi
+
+
+@pytest.mark.parametrize("rotation", [[0.1, -0.2, 0.3], [0.0, 0.0, 1.5 * math.pi]])
+def test_unpacked_pose_owns_its_arrays(rotation):
+    vector = np.array([1.0, 2.0, 3.0, *rotation])
+    state = pose_unpack(vector)
+    expected = PoseState(vector[:3], canonicalize_rotation_vector(vector[3:]))
+    vector[:] = 7.0
+    assert np.array_equal(state.translation, expected.translation)
+    assert np.array_equal(state.rotation, expected.rotation)
+    for part in (state.translation, state.rotation):
+        assert part.dtype == np.float64 and part.shape == (3,) and part.flags.owndata
+
+
+def test_mean_pose_rejects_non_finite_and_misshapen_particles():
+    with pytest.raises(ValueError, match="pose vector must be finite"):
+        mean_pose(np.array([[0.0, 0.0, 0.0, math.inf, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match=r"pose vector must have shape \(6,\), got \(5,\)"):
+        mean_pose(np.zeros((2, 5)))
+    with pytest.raises(ValueError, match="pose components must be finite"):
+        PoseState(np.array([0.0, math.nan, 0.0]), np.zeros(3))
+    with pytest.raises(ValueError, match="translation and rotation must both be 3-vectors"):
+        PoseState(np.zeros(2), np.zeros(3))
