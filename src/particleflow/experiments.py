@@ -227,7 +227,8 @@ def _kl_measure(problem, n_steps: int) -> Measure:
     reference posteriors, which are built once per problem, so their
     Cholesky factors are shared by all of its runs. If a stacked call
     raises, every step is measured again on its own, so only the steps
-    whose KL fails become kl_error rows.
+    whose KL fails become kl_error rows, and every other step gets the bits
+    its stacked KL would have had.
     """
     expected = GaussianSummary.stack([expected_posterior(problem.center, t) for t in range(n_steps + 1)])
     exact = GaussianSummary.stack([exact_posterior(problem, t) for t in range(n_steps + 1)])

@@ -95,8 +95,8 @@ class GaussianSummary:
     @cached_property
     def inverse_factor(self) -> np.ndarray:
         """Inverse of the lower Cholesky factor (of each stacked member),
-        computed on first use in one batched call; a stack applies it to
-        every KL it enters as the reference."""
+        computed on first use, in one batched call for a stack; every KL
+        that takes this summary as its reference applies it."""
         inverse = np.linalg.inv(self.cholesky[0])
         inverse.setflags(write=False)
         return inverse
@@ -159,26 +159,6 @@ def _factor(g: GaussianSummary, name: str) -> tuple[np.ndarray, float | np.ndarr
     )
 
 
-def _solve_lower(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """factor^-1 b for a C-ordered lower triangular factor.
-
-    The LAPACK call `scipy.linalg.solve_triangular(factor, b, lower=True)`
-    makes for such a factor (the transposed upper system in Fortran order),
-    without its per-call validation; the factor is checked finite when it
-    is computed. Only a KL of two single summaries comes here (stacks use
-    their inverse factors), so `scipy.linalg.lapack` is imported on first
-    use, not at start-up.
-    """
-    from scipy.linalg.lapack import dtrtrs
-
-    x, info = dtrtrs(factor.T, b, lower=0, trans=1)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
-    return x
-
-
 def kl_gaussians(p: GaussianSummary, q: GaussianSummary) -> float | np.ndarray:
     """KL(p || q) between multivariate Gaussians in closed form.
 
@@ -186,16 +166,17 @@ def kl_gaussians(p: GaussianSummary, q: GaussianSummary) -> float | np.ndarray:
            + ln det Sq - ln det Sp]
 
     evaluated through Cholesky factors; neither covariance is explicitly
-    inverted. Each summary is factored once, on first use, and its factor
-    and log-determinant are reused by every later KL it enters. p and q may
-    also be stacks of equal length: the result is then an array of one KL
-    per stacked pair, from one batched Cholesky per stack, and the
-    triangular solves become batched products with q's inverse factors,
-    which are computed once per stack (`GaussianSummary.inverse_factor`).
-    Raises ValueError with an eigenvalue diagnostic if a
-    covariance is not positive definite, and ValueError on non-finite
-    input, on a KL that is not finite (a term overflowed) and on a KL
-    below -1e-8. For stacks the message is "stack member i: " followed by
+    inverted. The triangular solves are products with the inverse of q's
+    factor (`GaussianSummary.inverse_factor`). Each summary is factored
+    once, on first use, its factor inverted once, when it is first the
+    reference q, and both are reused by every later KL it enters. p and q
+    may also be stacks of equal length: the result is then an array of one
+    KL per stacked pair, from one batched Cholesky per stack, and each
+    member's KL has the bits the same pair gives as two single summaries,
+    since both take the same route. Raises ValueError with an eigenvalue
+    diagnostic if a covariance is not positive definite, and ValueError on
+    non-finite input, on a KL that is not finite (a term overflowed) and on
+    a KL below -1e-8. For stacks the message is "stack member i: " followed by
     the message member i gives on its own, for one failing member i (not
     always the lowest: q is factored before p, and each check names the
     first member that fails it).
@@ -203,17 +184,13 @@ def kl_gaussians(p: GaussianSummary, q: GaussianSummary) -> float | np.ndarray:
     if p.mean.shape != q.mean.shape:
         raise ValueError(f"shape mismatch: mean {p.mean.shape} vs {q.mean.shape}")
     d = p.dim
-    lq, logdet_q = _factor(q, "second (reference)")
+    _, logdet_q = _factor(q, "second (reference)")
     lp, logdet_p = _factor(p, "first")
     shift = q.mean - p.mean
     _require(np.isfinite(shift).all(axis=-1), lambda i: "mean difference must not contain infs or NaNs")
-    if lq.ndim == 3:  # stacks: batched products with q's cached inverse factors
-        a = q.inverse_factor @ lp
-        u = (q.inverse_factor @ shift[..., None])[..., 0]
-        maha = np.sum(u * u, axis=-1)
-    else:
-        a, u = _solve_lower(lq, lp), _solve_lower(lq, shift)
-        maha = u @ u
+    a = q.inverse_factor @ lp
+    u = (q.inverse_factor @ shift[..., None])[..., 0]
+    maha = np.sum(u * u, axis=-1)
     kl = 0.5 * (np.sum(a * a, axis=(-2, -1)) + maha - d + logdet_q - logdet_p)
     _require(np.isfinite(kl), lambda i: f"KL evaluated to {kl[i]:g}; a term overflowed")
     _require(kl >= -1e-8, lambda i: f"KL evaluated to {kl[i]:g} < 0; inputs are inconsistent")

@@ -217,10 +217,25 @@ def cho_solve_exact_posterior(loss, upto_step):
     return mean, 0.5 * (cov + cov.T)
 
 
+def fresh_inverse_factor_kl(p_mean, p_cov, q_mean, q_cov):
+    """KL(p || q) with both covariances factored afresh, q's factor inverted
+    afresh by np.linalg.inv, and the library's products and sums in its
+    order of operations (a bitwise oracle for the cached-factor path)."""
+    d = p_mean.shape[0]
+    lq = np.linalg.cholesky(q_cov)
+    lp = np.linalg.cholesky(p_cov)
+    inverse = np.linalg.inv(lq)
+    a = inverse @ lp
+    u = (inverse @ (q_mean - p_mean)[:, None])[:, 0]
+    logdet_q = 2.0 * np.sum(np.log(np.diag(lq)))
+    logdet_p = 2.0 * np.sum(np.log(np.diag(lp)))
+    return max(float(0.5 * (np.sum(a * a) + np.sum(u * u) - d + logdet_q - logdet_p)), 0.0)
+
+
 def fresh_factor_kl(p_mean, p_cov, q_mean, q_cov):
     """KL(p || q) with both covariances factored afresh and every triangular
-    solve through scipy.linalg.solve_triangular, in the library's order of
-    operations (a bitwise oracle for the cached-factor path)."""
+    solve through scipy.linalg.solve_triangular (an oracle that shares no
+    inverse with the library; it agrees to rounding, not bit for bit)."""
     return max(unclamped_fresh_factor_kl(p_mean, p_cov, q_mean, q_cov), 0.0)
 
 

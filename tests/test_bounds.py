@@ -1,16 +1,19 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from particleflow import bounds
 from particleflow.bounds import (
     DivergenceCheckReport,
     gronwall_bound,
     max_ratio,
     perturbed_flow_check,
 )
+from particleflow.config import make_config, parse_config_file
 from particleflow.experiments import theorem_field
 
 
@@ -109,3 +112,28 @@ def test_check_is_deterministic():
     b = perturbed_flow_check(8, field, eps=0.1, t_end=1.0, dt=1e-3, seed=5)
     assert np.array_equal(a.observed, b.observed)
     assert np.array_equal(a.bounds, b.bounds)
+
+
+def test_theorem_protocol_assignments_are_the_identity(monkeypatch):
+    # every particle gets the same offset, so z_i - x_i is one shared vector
+    # e(t) up to rounding, and by the triangle inequality no permutation
+    # beats N |e(t)|: the solver confirms the index matching at every
+    # checkpoint of the theorem protocol's acceptance configuration
+    path = Path(__file__).resolve().parent.parent / "configs" / "theorem.cfg"
+    cfg = make_config("theorem", parse_config_file(str(path), "theorem"))
+    (d,), (n,) = cfg.dims, cfg.n_particles
+    solve = bounds.wasserstein_exact
+    solved = []
+
+    def recorded(a, b):
+        result = solve(a, b)
+        solved.append((result, np.linalg.norm(a - b, axis=1).sum()))
+        return result
+
+    monkeypatch.setattr(bounds, "wasserstein_exact", recorded)
+    for seed in cfg.seeds:
+        perturbed_flow_check(n, theorem_field(d, seed), cfg.eps, cfg.t_end, cfg.dt, seed)
+    assert len(solved) == len(cfg.seeds) * (1 + bounds.N_CHECKPOINTS)
+    for result, matched in solved:
+        assert np.array_equal(result.permutation, np.arange(n))
+        assert result.total_cost == matched

@@ -380,9 +380,11 @@ def test_cli_gradient_coefficient_overflow_fails_flow_runs(tmp_path):
 
 def test_start_up_and_synthetic_protocol_load_no_scipy(tmp_path):
     # scipy.linalg alone takes about 260 ms of start-up, scipy.spatial's
-    # Rotation about 400 ms in the pose protocol; only the theorem and
-    # scalar-KL paths import scipy, where they run. A subprocess, since the
-    # test oracles import scipy into this interpreter.
+    # Rotation about 400 ms in the pose protocol; only the theorem protocol
+    # imports scipy, where it runs. The third call is a gd run whose stacked
+    # KL overflows at step 17, so every step's KL is computed again on its
+    # own. A subprocess, since the test oracles import scipy into this
+    # interpreter.
     code = textwrap.dedent(f"""
         import sys
         import particleflow.cli
@@ -401,15 +403,46 @@ def test_start_up_and_synthetic_protocol_load_no_scipy(tmp_path):
                                "--grid-points-per-order", "1", "--seeds", "0",
                                "--out", {str(tmp_path / "pose.csv")!r}])
         print(scipy_modules())
+        particleflow.cli.main(["synthetic", "--dims", "4", "--n-particles", "12", "--n-steps", "20",
+                               "--method", "gd", "--grid-orders", "30",
+                               "--grid-points-per-order", "1", "--seeds", "1",
+                               "--out", {str(tmp_path / "fallback.csv")!r}])
+        print(scipy_modules())
     """)
     src = str(Path(particleflow.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     lines = [line for line in proc.stdout.splitlines() if not line.startswith("wrote ")]
-    assert lines == ["[]"] * 3, "loaded by import particleflow.cli, the synthetic or the pose protocol"
-    for name in ("synthetic", "pose"):
+    assert lines == ["[]"] * 4, "loaded by import particleflow.cli, a synthetic or pose call, or the KL fallback"
+    assert (tmp_path / "fallback.csv").read_text().count(",kl_error\n") == 1
+    for name in ("synthetic", "pose", "fallback"):
         manifest = (tmp_path / f"{name}.csv.manifest.txt").read_text().splitlines()
         header = dict(line[2:].split("=", 1) for line in manifest if line.startswith("# "))
         assert header["scipy"] == "not loaded"
         assert {"numpy", "blas", "nproc", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                 "MKL_NUM_THREADS"} <= header.keys()
+
+
+def test_csvs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS reads its thread count once, at load, so each count gets its
+    # own interpreter; the variable is set only in the child's environment
+    code = textwrap.dedent("""
+        import sys
+        import particleflow.cli
+
+        out = sys.argv[1]
+        grid = ["--n-steps", "20", "--seeds", "0", "--grid-orders", "1", "--grid-points-per-order", "1"]
+        particleflow.cli.main(["synthetic", "--dims", "10,50", *grid, "--out", out + "/synthetic.csv"])
+        particleflow.cli.main(["pose", *grid, "--out", out + "/pose.csv"])
+    """)
+    src = str(Path(particleflow.__file__).resolve().parent.parent)
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", code, str(out)], env=env, capture_output=True, check=True)
+        outputs[threads] = {name: (out / name).read_bytes() for name in ("synthetic.csv", "pose.csv")}
+    assert [text.count(b"\n") for text in outputs["1"].values()] == [677, 171]
+    assert outputs["1"] == outputs["2"]

@@ -20,6 +20,7 @@ from particleflow.pose import PoseState, random_rotation_vectors
 from reference import (
     brute_force_assignment,
     fresh_factor_kl,
+    fresh_inverse_factor_kl,
     matrix_pose_errors,
     monte_carlo_kl,
     random_spd_pair,
@@ -127,8 +128,12 @@ def test_kl_cached_factors_bitwise_equal_fresh_factors(d):
         (mp, sp), (mq, sq) = random_spd_pair(gen, d)
         p, q = GaussianSummary(mp, sp), GaussianSummary(mq, sq)
         for _ in range(2):  # first call factors, the second reuses the factors
-            assert kl_gaussians(p, q) == fresh_factor_kl(mp, sp, mq, sq)
-            assert kl_gaussians(q, p) == fresh_factor_kl(mq, sq, mp, sp)
+            for x, y in ((p, q), (q, p)):
+                kl = kl_gaussians(x, y)
+                args = (x.mean, x.covariance, y.mean, y.covariance)
+                assert kl == fresh_inverse_factor_kl(*args)
+                # an oracle that shares no inverse with the library
+                assert kl == pytest.approx(fresh_factor_kl(*args), rel=1e-12, abs=0.0)
 
 
 def test_kl_factors_each_summary_once(monkeypatch):
@@ -175,8 +180,8 @@ def test_kl_factors_each_stack_once(monkeypatch):
 @pytest.mark.parametrize("d", [3, 50])
 @pytest.mark.parametrize("scale", [1e-12, 1e12])
 def test_stacked_kl_matches_scalar_kl(d, scale):
-    # means near 1e6, both covariances at `scale`, and fits to n <= d
-    # particles, whose covariance sits at the ridge floor
+    # bit for bit, on means near 1e6, both covariances at `scale`, and fits
+    # to n <= d particles, whose covariance sits at the ridge floor
     gen = np.random.default_rng(d)
     root = math.sqrt(scale)
     ps, qs = [], []
@@ -195,7 +200,7 @@ def test_stacked_kl_matches_scalar_kl(d, scale):
         assert isinstance(stacked, np.ndarray) and stacked.shape == (len(ps),)
         scalar = [kl_gaussians(x, y) for x, y in members]
         assert all(isinstance(v, float) for v in scalar)
-        np.testing.assert_allclose(stacked, scalar, rtol=1e-12, atol=0.0)
+        assert np.array_equal(stacked, scalar)
 
 
 def test_stacked_kl_names_the_member_that_fails_as_the_scalar_path_does():
