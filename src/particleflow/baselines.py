@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import rng
-from .flow import Ensemble, _checked_grads, _checked_losses
+from .flow import Ensemble, _checked_grads, _checked_losses, _per_member
 
 
 def systematic_resample(weights: np.ndarray, offset: float) -> np.ndarray:
@@ -32,7 +32,7 @@ def systematic_resample(weights: np.ndarray, offset: float) -> np.ndarray:
     return np.repeat(np.arange(n), counts)
 
 
-def mcl_step(ensemble: Ensemble, loss_model, epsilon: float, seed: int) -> Ensemble:
+def mcl_step(ensemble: Ensemble, loss_model, epsilon, seed: int) -> Ensemble:
     """One motion / weight / resample cycle of Monte Carlo localization.
 
     Motion adds N(0, epsilon I) noise from the (seed, step) keyed stream;
@@ -44,28 +44,38 @@ def mcl_step(ensemble: Ensemble, loss_model, epsilon: float, seed: int) -> Ensem
     returns n particles. Resampling leaves the weights uniform, so
     particles enter and leave a step unweighted. Deterministic per
     (seed, step index).
+
+    A stack takes one epsilon for all members or one per member. It draws
+    the step's normal block and offset once, makes one loss call for the
+    whole stack and resamples each member on its own, so each member gets
+    the bits it would get stepped alone with the same seed.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    epsilons = _per_member(epsilon, ensemble, "epsilon")
     t, particles = ensemble.step_index, ensemble.particles
     gen = rng.stream(seed, rng.MOTION, t)
-    moved = particles + np.sqrt(epsilon) * gen.standard_normal(particles.shape)
+    moved = particles + np.sqrt(epsilons)[..., None, None] * gen.standard_normal(particles.shape[-2:])
     losses = _checked_losses(loss_model, t, moved)
-    weights = (1.0 / ensemble.n) * np.exp(-(losses - losses.min()))
-    total = weights.sum()
-    assert total > 0.0, "degenerate weights: total underflowed despite min-shift"
-    weights /= total
-    return Ensemble(moved[systematic_resample(weights, float(gen.uniform()))], t + 1)
+    offset = float(gen.uniform())
+    resampled = np.empty_like(moved)
+    for i in np.ndindex(epsilons.shape):
+        weights = (1.0 / ensemble.n) * np.exp(-(losses[i] - losses[i].min()))
+        total = weights.sum()
+        assert total > 0.0, "degenerate weights: total underflowed despite min-shift"
+        weights /= total
+        resampled[i] = moved[i][systematic_resample(weights, offset)]
+    return Ensemble(resampled, t + 1)
 
 
-def gradient_descent_step(ensemble: Ensemble, loss_model, eta: float) -> Ensemble:
+def gradient_descent_step(ensemble: Ensemble, loss_model, eta) -> Ensemble:
     """Independent gradient step x <- x - eta * grad L_t(x) per particle.
 
     Equivalent to the particle flow with the attraction-repulsion term
     removed and the kernel prefactor C * gamma**(2-d) absorbed into eta.
+    A stack takes one eta for all members or one per member and makes one
+    gradient call for the whole stack; each member gets the bits it would
+    get stepped alone.
     """
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    etas = _per_member(eta, ensemble, "eta")
     t = ensemble.step_index
     grads = _checked_grads(loss_model, t, ensemble.particles)
-    return Ensemble(ensemble.particles - eta * grads, t + 1)
+    return Ensemble(ensemble.particles - etas[..., None, None] * grads, t + 1)

@@ -114,20 +114,56 @@ def resolve_grid(config: ExperimentConfig, method: str, d: int) -> tuple[float, 
     return gamma, center, grid_values(center, config.grid_orders, config.grid_points_per_order)
 
 
-def _trajectory(method, value, problem, init, gamma, seed, n_steps):
-    """Yield (step, particles) of one run, from the initial particles at step 0
-    through step n_steps; a failing step raises ValueError. Every method
-    steps an `Ensemble`; the step functions are looked up when called."""
-    advance = {
-        "flow": lambda ensemble: flow.step(ensemble, problem, gamma, value),
-        "mcl": lambda ensemble: mcl_step(ensemble, problem, value, seed),
-        "gd": lambda ensemble: gradient_descent_step(ensemble, problem, value),
-    }[method]
-    ensemble = Ensemble(init, 0)
-    yield 0, ensemble.particles
-    for _ in range(n_steps):
-        ensemble = advance(ensemble)
-        yield ensemble.step_index, ensemble.particles
+def _lockstep(advance, values: list[float], init: np.ndarray, observe, n_steps: int) -> list[tuple]:
+    """The runs of one (method, seed) grid, one per value, from init at step 0
+    through step n_steps, advanced in lockstep as one `Ensemble` stack.
+
+    advance(ensemble, value) makes one step of a stack, with an array of one
+    value per member, or of a single ensemble. Each step observes every
+    member with observe(step, particles); a member whose observe raises
+    ValueError ends at that step. When a stacked step raises ValueError, it
+    is taken again member by member through the unstacked step: members
+    that raise there end at the step being made, with their own message,
+    and the others go on with the bits the stacked step would have given
+    them. Returns per value (observed, failed_step, reason): the run's
+    (step, observation) pairs, and for a run that ended early the step and
+    message of its failure (None, None otherwise). Failures are kept as
+    messages, not exceptions, whose tracebacks would hold the stack's
+    frames and arrays.
+    """
+    observed = [[] for _ in values]
+    ends = [(None, None)] * len(values)
+    live = list(range(len(values)))  # the value index of each stack member
+    ensemble = Ensemble(np.broadcast_to(init, (len(values),) + init.shape), 0)
+    while live:
+        t = ensemble.step_index
+        kept = []
+        for j, i in enumerate(live):
+            try:
+                observation = observe(t, ensemble.particles[j])
+            except ValueError as exc:
+                ends[i] = (t, str(exc))
+            else:
+                observed[i].append((t, observation))
+                kept.append(j)
+        if not kept or t == n_steps:
+            break
+        if len(kept) < len(live):
+            live, ensemble = [live[j] for j in kept], ensemble[kept]
+        try:
+            ensemble = advance(ensemble, np.array([values[i] for i in live]))
+        except ValueError:
+            stepped = {}
+            for j, i in enumerate(live):
+                member = ensemble[j]
+                try:
+                    stepped[i] = advance(member, values[i]).particles
+                except ValueError as exc:
+                    ends[i] = (t + 1, str(exc))
+            live = list(stepped)
+            if live:
+                ensemble = Ensemble(np.stack(list(stepped.values())), t + 1)
+    return [(steps, *end) for steps, end in zip(observed, ends)]
 
 
 class Measure(NamedTuple):
@@ -148,16 +184,19 @@ def _sweep(config: ExperimentConfig, instance, selection: str) -> tuple[list[tup
     """Grid search of every configured method at each (d, n) over per-seed instances.
 
     instance(d, n, seed) returns (problem, init, measure), measure a
-    `Measure`. Each (method, grid point, seed) run has measure.observe
-    each step and emits its measured rows when it ends, followed by a
-    run_failed row at the step that raised if it failed: the step being
-    observed when observe raised, the step being made when stepping
-    raised. The best grid point per (method, d, n) minimizes the mean
-    final-step `selection` metric across seeds; a grid point counts only
-    if that metric is ok at the last step for every seed. Each run formats
-    its eight constant columns once. Returns the rows and one line per
-    run_failed row, in row order, saying which run failed at which step
-    and why.
+    `Measure`. The grid runs of one (method, seed) advance in lockstep (see
+    `_lockstep`), so each step makes one loss and gradient evaluation for
+    all of them, and each run gets the bits it would get alone. Each
+    (method, grid point, seed) run has measure.observe each step and emits
+    its measured rows when it ends, followed by a run_failed row at the
+    step that raised if it failed: the step being observed when observe
+    raised, the step being made when stepping raised. Rows are ordered by
+    method, grid point, then seed. The best grid point per (method, d, n)
+    minimizes the mean final-step `selection` metric across seeds; a grid
+    point counts only if that metric is ok at the last step for every
+    seed. Each run formats its eight constant columns once. Returns the
+    rows and one line per run_failed row, in row order, saying which run
+    failed at which step and why.
     """
     experiment, T = config.experiment, config.n_steps
     rows, failures = [], []
@@ -166,36 +205,44 @@ def _sweep(config: ExperimentConfig, instance, selection: str) -> tuple[list[tup
         for method in config.methods:
             gamma, _, values = resolve_grid(config, method, d)
             gamma_col = gamma if method == "flow" else None
-            best_value, best_mean = None, math.inf
-            for value in values:
-                eta, epsilon = (None, value) if method == "mcl" else (value, None)
-                finals = []
-                for seed, (problem, init, measure) in instances.items():
-                    run = _cells(experiment, method, d, n, seed, eta, epsilon, gamma_col)
-                    observed, failure = [], None
-                    # diverging grid points overflow by design before being
-                    # reported as error rows; keep their FP warnings out of
-                    # the sweep output
-                    with np.errstate(all="ignore"):
-                        try:
-                            for step, particles in _trajectory(method, value, problem, init, gamma, seed, T):
-                                failed_step = step  # a failing observe names the step it observed
-                                observed.append((step, measure.observe(step, particles)))
-                                failed_step = step + 1  # a failing stepping call names the step it made
-                        except ValueError as exc:
-                            failure = exc
+            swept = "epsilon" if method == "mcl" else "eta"
+            ended = {}  # (grid index, seed) -> (rows, final selection value, failure line)
+            for seed, (problem, init, measure) in instances.items():
+                # the step functions are looked up when called
+                advance = {
+                    "flow": lambda ensemble, value: flow.step(ensemble, problem, gamma, value),
+                    "mcl": lambda ensemble, value: mcl_step(ensemble, problem, value, seed),
+                    "gd": lambda ensemble, value: gradient_descent_step(ensemble, problem, value),
+                }[method]
+                # diverging grid points overflow by design before being
+                # reported as error rows; keep their FP warnings out of the
+                # sweep output
+                with np.errstate(all="ignore"):
+                    runs = _lockstep(advance, values, init, measure.observe, T)
+                    for i, (observed, failed_step, reason) in enumerate(runs):
+                        value = values[i]
+                        eta, epsilon = (None, value) if method == "mcl" else (value, None)
+                        run = _cells(experiment, method, d, n, seed, eta, epsilon, gamma_col)
                         measured = measure.emit(observed)
-                    rows.extend(run + _cells(*row) for row in measured)
-                    if failure is None:
-                        finals.append(next((v for _, step, metric, v, _ in measured
-                                            if step == T and metric == selection), None))
-                        continue
-                    rows.append(run + _cells(None, failed_step, "run_failed", None, "error"))
-                    swept = "epsilon" if method == "mcl" else "eta"
-                    reason = str(failure).replace("\n", " ")
-                    failures.append(f"{method} d={d} n={n} seed={seed} {swept}={_fmt(value)} "
-                                    f"step={failed_step}: {reason}")
-                    finals.append(None)
+                        run_rows = [run + _cells(*row) for row in measured]
+                        if reason is None:
+                            final = next((v for _, step, metric, v, _ in measured
+                                          if step == T and metric == selection), None)
+                            ended[i, seed] = (run_rows, final, None)
+                            continue
+                        run_rows.append(run + _cells(None, failed_step, "run_failed", None, "error"))
+                        reason = reason.replace("\n", " ")
+                        ended[i, seed] = (run_rows, None, f"{method} d={d} n={n} seed={seed} "
+                                                          f"{swept}={_fmt(value)} step={failed_step}: {reason}")
+            best_value, best_mean = None, math.inf
+            for i, value in enumerate(values):
+                finals = []
+                for seed in instances:
+                    run_rows, final, failure = ended.pop((i, seed))
+                    rows.extend(run_rows)
+                    if failure is not None:
+                        failures.append(failure)
+                    finals.append(final)
                 if any(v is None for v in finals):
                     continue
                 mean = sum(finals) / len(finals)

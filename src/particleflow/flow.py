@@ -24,7 +24,10 @@ resampling and no randomness anywhere in this module.
 to the ensemble at step t + 1, as the baselines' ``mcl_step`` and
 ``gradient_descent_step`` do. Its two halves are `evaluate_losses`, which
 returns the normalized losses and gradients, and `flow_update`, which
-turns them into displacements.
+turns them into displacements. All three also step a stack of ensembles
+(see `Ensemble`), with one step size per member, making one loss and
+gradient evaluation for the whole stack; each member gets the bits it
+would get stepped alone.
 
 The pairwise term costs O(n^2 d) time and O(n d) memory. It is summed
 from exact differences x_i - x_j (no Gram-matrix expansion, which cancels
@@ -51,32 +54,66 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Immutable particle set at a discrete time index.
+    """Immutable particle set at a discrete time index, or a stack of them.
+
+    A stack carries a leading axis, particles (k, n, d): k particle sets of
+    one size at one time index, such as the runs of a step-size grid, which
+    the step functions advance together, each member getting the bits it
+    would get alone. Indexing a stack gives its members (an int index) or a
+    sub-stack (a list of indices); the empty index () gives the ensemble
+    itself, so a loop over np.ndindex(ensemble.particles.shape[:-2]) treats
+    a single ensemble as a one-member stack.
 
     Particle order only matters for reproducibility of floating-point
     reductions; filter output is equivariant under permutations.
     """
 
-    particles: np.ndarray  # (n, d)
+    particles: np.ndarray  # (n, d), or (k, n, d) for a stack
     step_index: int = 0
 
     def __post_init__(self) -> None:
-        arr = np.array(self.particles, dtype=np.float64, copy=True)
-        if arr.ndim != 2 or arr.shape[0] < 1:
+        arr = np.array(self.particles, dtype=np.float64, copy=True, order="C")
+        if arr.ndim not in (2, 3) or 0 in arr.shape[:-1]:
             raise ValueError(
-                f"particles must be an (n, d) array with n >= 1, got shape {np.shape(self.particles)}"
+                f"particles must be an (n, d) array with n >= 1 (a (k, n, d) array for a stack), "
+                f"got shape {np.shape(self.particles)}"
             )
         if not np.isfinite(arr).all():
-            i, k = np.argwhere(~np.isfinite(arr))[0]
-            raise ValueError(f"non-finite coordinate at particle {i}, component {k}")
+            *member, i, k = np.argwhere(~np.isfinite(arr))[0]
+            raise ValueError(_naming(member, f"non-finite coordinate at particle {i}, component {k}"))
         if self.step_index < 0:
             raise ValueError(f"step_index must be nonnegative, got {self.step_index}")
         arr.setflags(write=False)
         object.__setattr__(self, "particles", arr)
 
+    def __getitem__(self, index) -> Ensemble:
+        if isinstance(index, tuple) and not index:
+            return self
+        if self.particles.ndim != 3:
+            raise TypeError("only a stack of ensembles can be indexed")
+        return Ensemble(self.particles[index], self.step_index)
+
     @property
     def n(self) -> int:
-        return self.particles.shape[0]
+        return self.particles.shape[-2]
+
+
+def _naming(member, message: str) -> str:
+    """message, led by the member's index for a stack member (member is [m]
+    for member m of a stack and [] for a single ensemble)."""
+    return f"stack member {member[0]}: {message}" if member else message
+
+
+def _per_member(value, ensemble: Ensemble, name: str) -> np.ndarray:
+    """A step size, one for every member or one per member, as an array of
+    shape ensemble.particles.shape[:-2] (() for a single ensemble); raises
+    ValueError naming the first value that is not positive."""
+    values = np.broadcast_to(np.asarray(value, dtype=np.float64), ensemble.particles.shape[:-2])
+    bad = np.argwhere(~(values > 0))
+    if len(bad):
+        member = list(bad[0])
+        raise ValueError(_naming(member, f"{name} must be positive, got {values[tuple(member)]}"))
+    return values
 
 
 def _log_kernel_constant(dim: int) -> float:
@@ -119,26 +156,29 @@ def gradient_coefficient(dim: int, gamma: float) -> float:
 
 
 def _checked_losses(loss_model, t: int, x: np.ndarray) -> np.ndarray:
-    """loss_model.loss(t, x) as floats; ValueError on a wrong shape or the
-    first non-finite loss."""
+    """loss_model.loss(t, x) as floats, one call for x of shape (n, d) or a
+    (k, n, d) stack; ValueError on a wrong shape or the first non-finite loss."""
     losses = np.asarray(loss_model.loss(t, x), dtype=np.float64)
-    if losses.shape != (x.shape[0],):
-        raise ValueError(f"loss model returned shape {losses.shape}, expected ({x.shape[0]},)")
-    bad = np.flatnonzero(~np.isfinite(losses))
+    if losses.shape != x.shape[:-1]:
+        raise ValueError(f"loss model returned shape {losses.shape}, expected {x.shape[:-1]}")
+    bad = np.argwhere(~np.isfinite(losses))
     if bad.size:
-        raise ValueError(f"non-finite loss for particle {bad[0]} at step {t}")
+        *member, i = bad[0]
+        raise ValueError(_naming(member, f"non-finite loss for particle {i} at step {t}"))
     return losses
 
 
 def _checked_grads(loss_model, t: int, x: np.ndarray) -> np.ndarray:
-    """loss_model.grad(t, x) as floats; ValueError on a wrong shape or the
-    first particle with a non-finite gradient."""
+    """loss_model.grad(t, x) as floats, one call for x of shape (n, d) or a
+    (k, n, d) stack; ValueError on a wrong shape or the first particle with
+    a non-finite gradient."""
     grads = np.asarray(loss_model.grad(t, x), dtype=np.float64)
     if grads.shape != x.shape:
         raise ValueError(f"loss gradient has shape {grads.shape}, expected {x.shape}")
-    bad = np.flatnonzero(~np.isfinite(grads).all(axis=1))
+    bad = np.argwhere(~np.isfinite(grads).all(axis=-1))
     if bad.size:
-        raise ValueError(f"non-finite gradient for particle {bad[0]} at step {t}")
+        *member, i = bad[0]
+        raise ValueError(_naming(member, f"non-finite gradient for particle {i} at step {t}"))
     return grads
 
 
@@ -146,12 +186,15 @@ def evaluate_losses(loss_model, ensemble: Ensemble) -> tuple[np.ndarray, np.ndar
     """(normalized losses, gradients) of every particle at the ensemble's time index.
 
     The normalized losses are the losses minus their ensemble mean, so they
-    sum to zero up to rounding.
+    sum to zero up to rounding. A stack makes one loss and one gradient
+    call for all its members, and each member is normalized by its own
+    mean: the results are shaped (k, n) and (k, n, d), and each member's
+    rows have the bits of its own evaluation.
     """
     t, x = ensemble.step_index, ensemble.particles
     losses = _checked_losses(loss_model, t, x)
     grads = _checked_grads(loss_model, t, x)
-    return losses - losses.mean(), grads
+    return losses - losses.mean(axis=-1, keepdims=True), grads
 
 
 def _interaction_sum(x: np.ndarray, normalized_losses: np.ndarray, gamma: float, dim: int) -> np.ndarray:
@@ -254,13 +297,24 @@ def flow_update(ensemble: Ensemble, normalized_losses: np.ndarray, grads: np.nda
     return displacements
 
 
-def step(ensemble: Ensemble, loss_model, gamma: float, eta: float) -> Ensemble:
+def step(ensemble: Ensemble, loss_model, gamma: float, eta) -> Ensemble:
     """One synchronous filter step; returns a new ensemble, input untouched.
 
     All quantities are read from the pre-step ensemble and written to a
     fresh particle array, so the result is independent of any per-particle
-    update order.
+    update order. A stack takes one eta for all members or one per member.
+    Its losses and gradients are evaluated once for the whole stack (see
+    `evaluate_losses`), and `flow_update` runs per member, so each member
+    gets the bits it would get stepped alone. A failing member fails the
+    step, with its index leading the message.
     """
     normalized_losses, grads = evaluate_losses(loss_model, ensemble)
-    displacements = flow_update(ensemble, normalized_losses, grads, gamma, eta)
-    return Ensemble(ensemble.particles + displacements, ensemble.step_index + 1)
+    x = ensemble.particles
+    etas = np.broadcast_to(eta, x.shape[:-2])
+    displacements = np.empty_like(x)
+    for i in np.ndindex(etas.shape):
+        try:
+            displacements[i] = flow_update(ensemble[i], normalized_losses[i], grads[i], gamma, float(etas[i]))
+        except ValueError as exc:
+            raise ValueError(_naming(list(i), str(exc))) from None
+    return Ensemble(x + displacements, ensemble.step_index + 1)

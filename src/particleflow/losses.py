@@ -1,9 +1,11 @@
 """Bundled loss models (negative log-likelihoods) and analytic posteriors.
 
 Loss models are immutable and pure: `loss(t, x)` and `grad(t, x)` are
-vectorized over a leading batch axis, accepting `(d,)` or `(n, d)` states
-and returning matching scalar/`(n,)` and `(d,)`/`(n, d)` results. Repeated
-calls with the same arguments return identical values.
+vectorized over leading batch axes, accepting `(d,)` or `(n, d)` states or
+a `(k, n, d)` stack of ensembles and returning matching scalar/`(n,)`/
+`(k, n)` and `x`-shaped results. Each stack member's results have the bits
+of a call on that member alone, so a stack of runs needs one call per step.
+Repeated calls with the same arguments return identical values.
 """
 from __future__ import annotations
 
@@ -52,6 +54,8 @@ class QuadraticProjectionLoss:
         return self.directions[step_index]
 
     def loss(self, step_index: int, x: np.ndarray) -> np.ndarray:
+        # a stack's product is one GEMV per member: the bits of one row of a
+        # GEMV depend on its place among the rows, so the member axis is kept
         proj = (np.asarray(x, dtype=np.float64) - self.center) @ self._direction(step_index)
         return 0.5 * proj * proj
 

@@ -185,7 +185,9 @@ class PoseRegistrationLoss:
     x = [T, w], with model points m_k and observed points o_k in fixed
     correspondence. With sigma = 0 the observations are noise-free and the
     residual is left unscaled. The generating pose is kept for evaluation
-    only; it never enters loss or gradient.
+    only; it never enters loss or gradient. loss and grad flatten a stack's
+    poses into one batch, whose GEMMs give each pose the bits it gets in a
+    batch of its own.
     """
 
     model_points: np.ndarray  # (K, 3)
@@ -224,20 +226,15 @@ class PoseRegistrationLoss:
 
     def loss(self, step_index: int, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        _, resid = self._residuals(x)
+        _, resid = self._residuals(x.reshape(-1, 6))
         values = 0.5 * self._scale * np.einsum("nik,nik->n", resid, resid)
-        return float(values[0]) if single else values
+        return values.reshape(x.shape[:-1])[()]
 
     def grad(self, step_index: int, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        n = x.shape[0]
-        rot, resid = self._residuals(x)
+        flat = x.reshape(-1, 6)
+        n = flat.shape[0]
+        rot, resid = self._residuals(flat)
         grad_t = self._scale * resid.sum(axis=2)
         # torque = sum_k m_k x (R^T r_k) has components eps_abc M_bc with
         # M = (sum_k m_k r_k^T) R: one GEMM over the K points, one 3x3
@@ -247,10 +244,9 @@ class PoseRegistrationLoss:
         torque = mixed[:, [1, 2, 0], [2, 0, 1]] - mixed[:, [2, 0, 1], [1, 2, 0]]
         # J^T torque with J in matrix form: expanding it into nested cross
         # products overflows for huge rotation vectors where this stays finite
-        jac = _right_jacobian(x[:, 3:])
+        jac = _right_jacobian(flat[:, 3:])
         grad_w = self._scale * np.matmul(torque[:, None, :], jac)[:, 0]
-        out = np.concatenate([grad_t, grad_w], axis=1)
-        return out[0] if single else out
+        return np.concatenate([grad_t, grad_w], axis=1).reshape(x.shape)
 
 
 def make_pose_problem(n_points: int, sigma: float, seed: int) -> PoseRegistrationLoss:

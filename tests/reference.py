@@ -11,12 +11,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 import scipy.linalg
 from scipy.spatial.transform import Rotation
 
 from particleflow.experiments import KL_METRICS, Measure
-from particleflow.losses import exact_posterior, expected_posterior
+from particleflow.flow import Ensemble, gradient_coefficient
+from particleflow.losses import exact_posterior, expected_posterior, sample_synthetic_problem
 from particleflow.metrics import fit_gaussian
+from particleflow.pose import make_pose_problem, noise_variance
 
 
 @dataclass(frozen=True)
@@ -411,3 +414,84 @@ def scipy_pose_grad(problem, x):
     grad_w = problem._scale * np.matmul(torque[:, None, :], jac)[:, 0]
     out = np.concatenate([grad_t, grad_w], axis=1)
     return out[0] if single else out
+
+
+# --- stacks of ensembles -----------------------------------------------------
+
+
+def _synthetic_stack(k, n, d, gamma=0.5, offset=0.0, coincident=False):
+    gen = np.random.default_rng([k, n, d])
+    x = gen.standard_normal((k, n, d)) + offset
+    if coincident:
+        x[:, n // 2:] = x[:, :1]  # half of each member's particles sit on its first
+    return sample_synthetic_problem(d, 4, 0), x, gamma, 1.0 / gradient_coefficient(d, gamma)
+
+
+def _pose_stack(k, rotation_scale, n=7):
+    gen = np.random.default_rng([k, n])
+    problem = make_pose_problem(12, 0.005, 0)
+    x = np.concatenate([0.3 * gen.standard_normal((k, n, 3)),
+                        rotation_scale * gen.standard_normal((k, n, 3))], axis=-1)
+    return problem, x, 8.0, noise_variance(0.005) / 12 / gradient_coefficient(6, 8.0)
+
+
+# name -> k -> (loss model, (k, n, d) particles, gamma, step-size center): the
+# bundled loss models on the adversarial inputs, with member sizes n that are
+# not multiples of 4 (a GEMV's row bits depend on the row's place mod 4)
+STACK_CASES = {
+    "synthetic_d3": lambda k: _synthetic_stack(k, 5, 3),
+    "synthetic_far_from_origin": lambda k: _synthetic_stack(k, 7, 3, offset=1e6),
+    "synthetic_coincident": lambda k: _synthetic_stack(k, 13, 10, coincident=True),
+    "synthetic_single_particle": lambda k: _synthetic_stack(k, 1, 4),
+    "synthetic_d50": lambda k: _synthetic_stack(k, 9, 50),
+    "synthetic_tiny_gamma": lambda k: _synthetic_stack(k, 6, 10, gamma=1e-3),
+    **{f"pose_rotations_{scale:g}": (lambda k, scale=scale: _pose_stack(k, scale))
+       for scale in (1e-300, 1e-8, 1.0, 1e3, 1e150, 1e300)},
+}
+
+
+def assert_stack_steps_as_its_members(advance, particles, values, step_index=3):
+    """advance(stack, values) for the stack of `particles` against advance(member,
+    value) for each member alone: bit for bit when no member fails, and a
+    ValueError naming a stack member when one does."""
+    stack = Ensemble(particles, step_index)
+    alone = []
+    for x, value in zip(particles, values):
+        try:
+            alone.append(advance(Ensemble(x, step_index), float(value)).particles)
+        except ValueError:
+            alone.append(None)
+    if any(x is None for x in alone):
+        with pytest.raises(ValueError, match="^stack member [0-9]+: "):
+            advance(stack, values)
+        return
+    stepped = advance(stack, values)
+    assert stepped.step_index == step_index + 1
+    assert stepped.particles.shape == particles.shape
+    for member, x in zip(stepped.particles, alone):
+        assert np.array_equal(member, x)
+
+
+def runs_one_by_one(advance, values, init, observe, n_steps):
+    """experiments._lockstep's runs made one at a time, each stepping an
+    unstacked ensemble: a run ends at the first ValueError of observe (at the
+    step observed) or of a step (at the step being made)."""
+    runs = []
+    for value in values:
+        ensemble, observed, end = Ensemble(init, 0), [], (None, None)
+        while True:
+            t = ensemble.step_index
+            try:
+                observed.append((t, observe(t, ensemble.particles)))
+            except ValueError as exc:
+                end = (t, str(exc))
+                break
+            if t == n_steps:
+                break
+            try:
+                ensemble = advance(ensemble, value)
+            except ValueError as exc:
+                end = (t + 1, str(exc))
+                break
+        runs.append((observed, *end))
+    return runs

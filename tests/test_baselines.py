@@ -7,7 +7,7 @@ from particleflow import flow
 from particleflow.baselines import gradient_descent_step, mcl_step, systematic_resample
 from particleflow.flow import Ensemble, evaluate_losses, flow_update, gradient_coefficient
 
-from reference import QuadraticWellLoss
+from reference import STACK_CASES, QuadraticWellLoss, assert_stack_steps_as_its_members
 
 
 class ConstantLoss:
@@ -243,3 +243,35 @@ def test_every_step_checks_the_losses_and_gradients_it_reads(advance, faults):
     for model, message in faults:
         with pytest.raises(ValueError, match=message + "$"):
             advance(ensemble, model)
+
+
+# --- stacks of ensembles -----------------------------------------------------
+
+
+@pytest.mark.parametrize("k", (1, 2, 11))
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_stacked_mcl_step_equals_its_members_stepped_alone(case, k):
+    loss_model, particles, _, _ = STACK_CASES[case](k)
+    with np.errstate(all="ignore"):
+        assert_stack_steps_as_its_members(
+            lambda ensemble, epsilon: mcl_step(ensemble, loss_model, epsilon, 7), particles, 0.1 * np.logspace(-2, 2, k))
+
+
+@pytest.mark.parametrize("k", (1, 2, 11))
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_stacked_gradient_descent_step_equals_its_members_stepped_alone(case, k):
+    loss_model, particles, _, _ = STACK_CASES[case](k)
+    with np.errstate(all="ignore"):
+        assert_stack_steps_as_its_members(
+            lambda ensemble, eta: gradient_descent_step(ensemble, loss_model, eta), particles, np.logspace(-3, 1, k))
+
+
+def test_stacked_baseline_steps_name_the_failing_member():
+    x = Ensemble(np.zeros((3, 2, 3)))
+    with pytest.raises(ValueError, match="^stack member 1: epsilon must be positive, got 0.0$"):
+        mcl_step(x, ConstantLoss(), [0.1, 0.0, 0.2], 0)
+    with pytest.raises(ValueError, match="^stack member 2: eta must be positive, got nan$"):
+        gradient_descent_step(x, ConstantLoss(), [0.1, 0.2, np.nan])
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match="^stack member 1: non-finite loss for particle 0 at step 0$"):
+        mcl_step(x, QuadraticWellLoss(np.zeros(3)), [0.1, np.inf, 0.2], 0)

@@ -433,7 +433,9 @@ def test_csvs_do_not_depend_on_the_blas_thread_count(tmp_path):
         out = sys.argv[1]
         grid = ["--n-steps", "20", "--seeds", "0", "--grid-orders", "1", "--grid-points-per-order", "1"]
         particleflow.cli.main(["synthetic", "--dims", "10,50", *grid, "--out", out + "/synthetic.csv"])
-        particleflow.cli.main(["pose", *grid, "--out", out + "/pose.csv"])
+        # 11 stacked grid runs of 80 particles: 880-row GEMMs per step
+        particleflow.cli.main(["pose", "--n-steps", "20", "--seeds", "0", "--n-particles", "80",
+                               "--grid-orders", "5", "--grid-points-per-order", "2", "--out", out + "/pose.csv"])
     """)
     src = str(Path(particleflow.__file__).resolve().parent.parent)
     outputs = {}
@@ -444,5 +446,5 @@ def test_csvs_do_not_depend_on_the_blas_thread_count(tmp_path):
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         subprocess.run([sys.executable, "-c", code, str(out)], env=env, capture_output=True, check=True)
         outputs[threads] = {name: (out / name).read_bytes() for name in ("synthetic.csv", "pose.csv")}
-    assert [text.count(b"\n") for text in outputs["1"].values()] == [677, 171]
+    assert [text.count(b"\n") for text in outputs["1"].values()] == [677, 927]
     assert outputs["1"] == outputs["2"]

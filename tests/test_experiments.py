@@ -17,7 +17,7 @@ from particleflow.experiments import (
 )
 from particleflow.flow import gradient_coefficient
 
-from reference import per_step_kl_measure
+from reference import per_step_kl_measure, runs_one_by_one
 
 
 def records(rows):
@@ -155,6 +155,40 @@ def test_per_run_measure_keeps_the_rows_of_a_per_step_measure(monkeypatch):
     for row, reference in zip(rows, reference_rows):
         if row[value] != reference[value]:
             assert float(row[value]) == pytest.approx(float(reference[value]), rel=1e-12)
+
+
+@pytest.mark.parametrize("method, center, failure", [
+    # the top grid point's step fails (a non-finite gradient)
+    ("gd", 0.20833333333333334, "eta=2.0833333333333335 step=27: non-finite gradient for particle 0 at step 26"),
+    # the top grid point's observe fails (its mean rotation vector overflows)
+    ("flow", 105834.75773542335, "eta=1058347.5773542335 step=26: rotation-vector norm overflowed to inf"),
+])
+def test_a_failing_grid_run_leaves_the_others_their_single_run_rows(monkeypatch, method, center, failure):
+    cfg = make_config("pose", overrides={
+        "n_particles": (20,), "n_steps": 30, "seeds": (0,), "methods": (method,),
+        "grid_center": center, "grid_orders": 2, "grid_points_per_order": 1,
+    })
+    rows, failures = run_pose(cfg)
+    assert len(failures) == 1 and failure in failures[0]
+    failed = [r for r in records(rows) if r["metric"] == "run_failed"]
+    assert len(failed) == 1 and f"step={failed[0]['step']}:" in failures[0]
+    survivors = {r["eta"] for r in records(rows) if r["step"] == "30" and r["seed"] == "0"}
+    assert len(survivors) == 2
+    monkeypatch.setattr(experiments, "_lockstep", runs_one_by_one)
+    assert run_pose(cfg) == (rows, failures)
+
+
+def test_lockstep_sweep_keeps_the_rows_of_single_runs(monkeypatch):
+    # every method, 5 particles (not a multiple of 4), and diverging grid
+    # edges whose runs fail at different steps while the others go on
+    cfg = make_config("synthetic", overrides={
+        "dims": (4,), "n_particles": (5,), "n_steps": 20, "seeds": (0, 1),
+        "methods": ("flow", "mcl", "gd"), "grid_orders": 30, "grid_points_per_order": 1,
+    })
+    rows, failures = run_synthetic(cfg)
+    assert len({line.split(" step=")[1].split(":")[0] for line in failures}) > 1
+    monkeypatch.setattr(experiments, "_lockstep", runs_one_by_one)
+    assert run_synthetic(cfg) == (rows, failures)
 
 
 def test_header_exact():

@@ -16,7 +16,14 @@ from particleflow.flow import (
     step,
 )
 
-from reference import QuadraticWellLoss, naive_flow_displacements, pair_summand, plain_power_interaction_sum
+from reference import (
+    STACK_CASES,
+    QuadraticWellLoss,
+    assert_stack_steps_as_its_members,
+    naive_flow_displacements,
+    pair_summand,
+    plain_power_interaction_sum,
+)
 
 
 def centered(losses):
@@ -497,3 +504,46 @@ def test_evaluate_losses_reports_particle_index():
 
     with pytest.raises(ValueError, match="particle 1"):
         evaluate_losses(BadLoss(), Ensemble(np.zeros((3, 3))))
+
+
+# --- stacks of ensembles -----------------------------------------------------
+
+
+def test_ensemble_stack_members_and_validation():
+    x = np.arange(24.0).reshape(2, 4, 3)
+    stack = Ensemble(x, 5)
+    assert stack.n == 4 and stack[()] is stack
+    assert np.array_equal(stack[1].particles, x[1]) and stack[1].step_index == 5
+    assert np.array_equal(stack[[1, 0]].particles, x[::-1])
+    assert stack.particles.flags.c_contiguous
+    with pytest.raises(TypeError, match="only a stack"):
+        stack[0][0]
+    with pytest.raises(ValueError, match="must be an"):
+        Ensemble(np.zeros((0, 4, 3)))
+    x[1, 2, 0] = math.nan
+    with pytest.raises(ValueError, match="^stack member 1: non-finite coordinate at particle 2, component 0$"):
+        Ensemble(x)
+
+
+def test_evaluate_losses_normalizes_each_stack_member_by_its_own_mean():
+    x = np.random.default_rng(3).standard_normal((3, 5, 4)) * np.array([1e-3, 1.0, 1e3])[:, None, None]
+    loss_model = QuadraticWellLoss(np.ones(4))
+    normalized, grads = evaluate_losses(loss_model, Ensemble(x))
+    for member, (own_normalized, own_grads) in zip(range(3), (evaluate_losses(loss_model, Ensemble(m)) for m in x)):
+        assert np.array_equal(normalized[member], own_normalized)
+        assert np.array_equal(grads[member], own_grads)
+
+
+def test_stacked_flow_step_names_the_failing_member():
+    x = np.zeros((3, 2, 3))
+    with pytest.raises(ValueError, match="^stack member 2: eta must be positive, got -1.0$"):
+        step(Ensemble(x), QuadraticWellLoss(np.zeros(3)), 1.0, [1.0, 2.0, -1.0])
+
+
+@pytest.mark.parametrize("k", (1, 2, 11))
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_stacked_flow_step_equals_its_members_stepped_alone(case, k):
+    loss_model, particles, gamma, center = STACK_CASES[case](k)
+    with np.errstate(all="ignore"):
+        assert_stack_steps_as_its_members(
+            lambda ensemble, eta: step(ensemble, loss_model, gamma, eta), particles, center * np.logspace(-2, 2, k))
