@@ -57,6 +57,16 @@ def max_ratio(observed: np.ndarray, bounds: np.ndarray) -> float:
     return worst
 
 
+def check_time_step(t_end: float, dt: float) -> None:
+    """Raise ValueError unless t_end > 0 and 0 < dt <= 1e-3 * t_end, the
+    Euler step whose error is negligible next to the bound's slack. A
+    relative tolerance of 1e-7 lets dt = t_end / 1000 pass after rounding."""
+    if not (t_end > 0 and dt > 0):
+        raise ValueError("t_end and dt must be positive")
+    if dt > 1.0000001e-3 * t_end:
+        raise ValueError(f"dt must be at most 1e-3 * t_end, got dt={dt}, t_end={t_end}")
+
+
 @dataclass(frozen=True)
 class DivergenceCheckReport:
     """Checkpointed distances, bounds, and their worst ratio."""
@@ -87,18 +97,14 @@ def perturbed_flow_check(
     constant detectable). The bound uses the spectral norm of the field
     matrix as its Lipschitz constant, which must be positive.
 
-    Requires dt <= 1e-3 * t_end so the Euler error is negligible relative
-    to the bound's slack.
+    Requires dt <= 1e-3 * t_end (`check_time_step`).
     """
     a = np.asarray(field, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"field must be a square matrix, got shape {a.shape}")
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    if not (t_end > 0 and dt > 0):
-        raise ValueError("t_end and dt must be positive")
-    if dt > 1.0000001e-3 * t_end:
-        raise ValueError(f"dt must be at most 1e-3 * t_end, got dt={dt}, t_end={t_end}")
+    check_time_step(t_end, dt)
     d = a.shape[0]
     lipschitz = float(np.linalg.norm(a, 2))
     if not lipschitz > 0:

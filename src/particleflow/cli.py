@@ -56,11 +56,16 @@ def main(argv=None) -> int:
     if args.command == "summarize":
         with open(args.input, encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
-            header = next(reader)
+            header = next(reader, None)
+            if header is None:
+                raise SystemExit(f"{args.input}:1: empty file, expected the header line")
             if tuple(header) != experiments.HEADER:
                 raise SystemExit(f"{args.input}: unexpected header {header}")
-            rows = list(reader)
-        experiments.write_csv(args.out, experiments.summarize_rows(rows), experiments.SUMMARY_HEADER)
+            try:  # rows are read as they are summarized, so line_num is the failing row's
+                summary = experiments.summarize_rows(reader)
+            except ValueError as exc:
+                raise SystemExit(f"{args.input}:{reader.line_num}: {exc}") from None
+        experiments.write_csv(args.out, summary, experiments.SUMMARY_HEADER)
         print(f"wrote {args.out}")
         return 0
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .bounds import check_time_step
+
 VALID_METHODS = ("flow", "mcl", "gd")
 
 _SWEEP_KEYS = ("n_particles", "n_steps", "seeds", "methods", "gamma", "grid_center",
@@ -89,8 +91,12 @@ class ExperimentConfig:
                 raise ValueError(f"theorem takes one {key} value, got {','.join(map(str, values))}")
         if any(n < 1 for n in self.n_particles):
             raise ValueError(f"n_particles must all be >= 1, got {self.n_particles}")
+        if any(s < 0 for s in self.seeds):
+            raise ValueError(f"seeds must all be nonnegative, got {self.seeds}")
         if self.experiment == "synthetic" and any(d < 3 for d in self.dims):
             raise ValueError(f"synthetic dims must all be >= 3, got {self.dims}")
+        if self.experiment == "theorem" and any(d < 1 for d in self.dims):
+            raise ValueError(f"theorem dims must all be >= 1, got {self.dims}")
         for m in self.methods:
             if m not in VALID_METHODS:
                 raise ValueError(f"unknown method {m!r}; valid: {VALID_METHODS}")
@@ -104,8 +110,7 @@ class ExperimentConfig:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         if self.eps < 0:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
-        if not self.t_end > 0 or not self.dt > 0:
-            raise ValueError("t_end and dt must be positive")
+        check_time_step(self.t_end, self.dt)
 
     def manifest_items(self) -> list[tuple[str, str]]:
         """The experiment and each key it reads, resolved, as sorted (key, value) text pairs."""

@@ -521,15 +521,24 @@ def summarize_rows(rows) -> list[tuple]:
     Groups are (experiment, method, d, n, eta, epsilon, gamma, step,
     metric); seed-less summary rows are skipped. Output header:
     experiment,method,d,n,eta,epsilon,gamma,step,metric,mean,stderr,count
+
+    Raises ValueError at the first row without one cell per HEADER column
+    or whose ok row's value is not a number.
     """
     groups: dict[tuple, list[float]] = {}
     for row in rows:
+        if len(row) != len(HEADER):
+            raise ValueError(f"expected {len(HEADER)} cells, got {len(row)}")
         record = dict(zip(HEADER, row))
         if record["status"] != "ok" or record["seed"] == "":
             continue
         key = (record["experiment"], record["method"], record["d"], record["n"],
                record["eta"], record["epsilon"], record["gamma"], record["step"], record["metric"])
-        groups.setdefault(key, []).append(float(record["value"]))
+        try:
+            value = float(record["value"])
+        except ValueError:
+            raise ValueError(f"value {record['value']!r} of an ok row is not a number") from None
+        groups.setdefault(key, []).append(value)
     def sort_key(key):
         return tuple((0, float(part)) if _is_number(part) else (1, part) for part in key)
 

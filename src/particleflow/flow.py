@@ -62,7 +62,8 @@ class Ensemble:
     would get alone. Indexing a stack gives its members (an int index) or a
     sub-stack (a list of indices); the empty index () gives the ensemble
     itself, so a loop over np.ndindex(ensemble.particles.shape[:-2]) treats
-    a single ensemble as a one-member stack.
+    a single ensemble as a one-member stack. Construction raises ValueError
+    naming the first non-finite coordinate (after its member, in a stack).
 
     Particle order only matters for reproducibility of floating-point
     reductions; filter output is equivariant under permutations.
@@ -78,9 +79,7 @@ class Ensemble:
                 f"particles must be an (n, d) array with n >= 1 (a (k, n, d) array for a stack), "
                 f"got shape {np.shape(self.particles)}"
             )
-        if not np.isfinite(arr).all():
-            *member, i, k = np.argwhere(~np.isfinite(arr))[0]
-            raise ValueError(_naming(member, f"non-finite coordinate at particle {i}, component {k}"))
+        _require(np.isfinite(arr), lambda at: f"non-finite coordinate at particle {at[-2]}, component {at[-1]}", 2)
         if self.step_index < 0:
             raise ValueError(f"step_index must be nonnegative, got {self.step_index}")
         arr.setflags(write=False)
@@ -98,10 +97,20 @@ class Ensemble:
         return self.particles.shape[-2]
 
 
-def _naming(member, message: str) -> str:
-    """message, led by the member's index for a stack member (member is [m]
-    for member m of a stack and [] for a single ensemble)."""
-    return f"stack member {member[0]}: {message}" if member else message
+def _in_member(member: int, message: str) -> str:
+    """message as raised for member `member` of a stack."""
+    return f"stack member {member}: {message}"
+
+
+def _require(ok: np.ndarray, describe, item_axes: int = 0) -> None:
+    """Raise ValueError(describe(at)) at ok's first False entry in row-major
+    order, at being its full index. An ok with more than item_axes axes
+    flags a stack, whose leading axis indexes members: the message then
+    names the member. A check passes its whole mask, so while it holds it
+    costs one reduction, and the first False lies in the first failing row."""
+    if not ok.all():
+        at = tuple(np.argwhere(~ok)[0].tolist())
+        raise ValueError(_in_member(at[0], describe(at)) if ok.ndim > item_axes else describe(at))
 
 
 def _per_member(value, ensemble: Ensemble, name: str) -> np.ndarray:
@@ -109,10 +118,7 @@ def _per_member(value, ensemble: Ensemble, name: str) -> np.ndarray:
     shape ensemble.particles.shape[:-2] (() for a single ensemble); raises
     ValueError naming the first value that is not positive."""
     values = np.broadcast_to(np.asarray(value, dtype=np.float64), ensemble.particles.shape[:-2])
-    bad = np.argwhere(~(values > 0))
-    if len(bad):
-        member = list(bad[0])
-        raise ValueError(_naming(member, f"{name} must be positive, got {values[tuple(member)]}"))
+    _require(values > 0, lambda at: f"{name} must be positive, got {values[at]}")
     return values
 
 
@@ -157,28 +163,23 @@ def gradient_coefficient(dim: int, gamma: float) -> float:
 
 def _checked_losses(loss_model, t: int, x: np.ndarray) -> np.ndarray:
     """loss_model.loss(t, x) as floats, one call for x of shape (n, d) or a
-    (k, n, d) stack; ValueError on a wrong shape or the first non-finite loss."""
+    (k, n, d) stack; ValueError on a wrong shape or naming the first
+    particle (after its member, in a stack) whose loss is not finite."""
     losses = np.asarray(loss_model.loss(t, x), dtype=np.float64)
     if losses.shape != x.shape[:-1]:
         raise ValueError(f"loss model returned shape {losses.shape}, expected {x.shape[:-1]}")
-    bad = np.argwhere(~np.isfinite(losses))
-    if bad.size:
-        *member, i = bad[0]
-        raise ValueError(_naming(member, f"non-finite loss for particle {i} at step {t}"))
+    _require(np.isfinite(losses), lambda at: f"non-finite loss for particle {at[-1]} at step {t}", 1)
     return losses
 
 
 def _checked_grads(loss_model, t: int, x: np.ndarray) -> np.ndarray:
     """loss_model.grad(t, x) as floats, one call for x of shape (n, d) or a
-    (k, n, d) stack; ValueError on a wrong shape or the first particle with
-    a non-finite gradient."""
+    (k, n, d) stack; ValueError on a wrong shape or naming the first
+    particle (after its member, in a stack) with a non-finite component."""
     grads = np.asarray(loss_model.grad(t, x), dtype=np.float64)
     if grads.shape != x.shape:
         raise ValueError(f"loss gradient has shape {grads.shape}, expected {x.shape}")
-    bad = np.argwhere(~np.isfinite(grads).all(axis=-1))
-    if bad.size:
-        *member, i = bad[0]
-        raise ValueError(_naming(member, f"non-finite gradient for particle {i} at step {t}"))
+    _require(np.isfinite(grads), lambda at: f"non-finite gradient for particle {at[-2]} at step {t}", 2)
     return grads
 
 
@@ -242,10 +243,8 @@ def _interaction_sum(x: np.ndarray, normalized_losses: np.ndarray, gamma: float,
             w[np.arange(stop - start), np.arange(start, stop)] = 0.0
             out[start:stop] = np.einsum("bi,kbi->bk", w, diff)
             if not np.isfinite(out[start:stop]).all():
-                bad = np.argwhere(~np.isfinite(w[None, :, :] * diff).all(axis=0))
-                if bad.size:
-                    b, i = bad[0]
-                    raise ValueError(f"non-finite interaction term for particle pair ({i}, {start + b})")
+                _require(np.isfinite(w * diff).all(axis=0),
+                         lambda at: f"non-finite interaction term for particle pair ({at[1]}, {start + at[0]})", 2)
             # free this block before the next one allocates: with two blocks
             # live the heap can outgrow malloc's trim threshold, and then its
             # pages are returned and faulted in again on every call
@@ -285,15 +284,11 @@ def flow_update(ensemble: Ensemble, normalized_losses: np.ndarray, grads: np.nda
             f"(eta={eta}, gamma={gamma}, dim={d})"
         )
     displacements = (-coeff) * grads
-    if not np.isfinite(displacements).all():
-        k = np.argwhere(~np.isfinite(displacements))[0, 0]
-        raise ValueError(f"non-finite gradient term for particle {k}")
+    _require(np.isfinite(displacements), lambda at: f"non-finite gradient term for particle {at[0]}", 2)
     if n > 1:
         pair = _interaction_sum(x, normalized_losses, gamma, d)
         displacements = displacements + (-(eta * kernel_constant(d))) * pair
-        if not np.isfinite(displacements).all():
-            j = np.argwhere(~np.isfinite(displacements))[0, 0]
-            raise ValueError(f"non-finite displacement for particle {j}")
+        _require(np.isfinite(displacements), lambda at: f"non-finite displacement for particle {at[0]}", 2)
     return displacements
 
 
@@ -316,5 +311,5 @@ def step(ensemble: Ensemble, loss_model, gamma: float, eta) -> Ensemble:
         try:
             displacements[i] = flow_update(ensemble[i], normalized_losses[i], grads[i], gamma, float(etas[i]))
         except ValueError as exc:
-            raise ValueError(_naming(list(i), str(exc))) from None
+            raise ValueError(_in_member(i[0], str(exc)) if i else str(exc)) from None
     return Ensemble(x + displacements, ensemble.step_index + 1)

@@ -7,20 +7,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .flow import _in_member, _require
 from .pose import PoseState
-
-
-def _require(ok, describe) -> None:
-    """Raise ValueError(describe(i)) at the first member i for which `ok` is
-    False. For one summary `ok` is a single flag and i is (), so describe can
-    index a per-member array with it; for a stack the message starts with
-    the member's index."""
-    if ok.ndim == 0:
-        if not ok:
-            raise ValueError(describe(()))
-    elif not ok.all():
-        i = int(np.argmin(ok))
-        raise ValueError(f"stack member {i}: {describe(i)}")
 
 
 @dataclass(frozen=True)
@@ -52,10 +40,10 @@ class GaussianSummary:
         if cov.shape != mean.shape + (d,):
             raise ValueError(f"covariance must be {mean.shape + (d,)}, got {cov.shape}")
         _require(np.isfinite(mean).all(axis=-1) & np.isfinite(cov).all(axis=(-2, -1)),
-                 lambda i: "mean and covariance must not contain infs or NaNs")
+                 lambda at: "mean and covariance must not contain infs or NaNs")
         asym = np.abs(cov - np.swapaxes(cov, -1, -2)).max(axis=(-2, -1), initial=0.0)
         scale = np.abs(cov).max(axis=(-2, -1), initial=1.0)  # max(1, max |S_ij|)
-        _require(asym <= 1e-12 * scale, lambda i: f"covariance asymmetric: max |S - S^T| = {asym[i]:g}")
+        _require(asym <= 1e-12 * scale, lambda at: f"covariance asymmetric: max |S - S^T| = {asym[at]:g}")
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -86,8 +74,7 @@ class GaussianSummary:
         ValueError if a factor is not finite; neither outcome is cached.
         """
         factor = np.linalg.cholesky(self.covariance)
-        _require(np.isfinite(factor).all(axis=(-2, -1)),
-                 lambda i: "covariance has a non-finite Cholesky factor")
+        _require(np.isfinite(factor), lambda at: "covariance has a non-finite Cholesky factor", 2)
         factor.setflags(write=False)
         logdet = 2.0 * np.sum(np.log(np.diagonal(factor, axis1=-2, axis2=-1)), axis=-1)
         return factor, float(logdet) if logdet.ndim == 0 else logdet
@@ -151,7 +138,7 @@ def _factor(g: GaussianSummary, name: str) -> tuple[np.ndarray, float | np.ndarr
             try:
                 _factor(g[i], name)
             except ValueError as exc:
-                raise ValueError(f"stack member {i}: {exc}") from None
+                raise ValueError(_in_member(i, str(exc))) from None
     eigs = np.linalg.eigvalsh(g.covariance)
     raise ValueError(
         f"{name} covariance is not positive definite "
@@ -179,7 +166,7 @@ def kl_gaussians(p: GaussianSummary, q: GaussianSummary) -> float | np.ndarray:
     a KL below -1e-8. For stacks the message is "stack member i: " followed by
     the message member i gives on its own, for one failing member i (not
     always the lowest: q is factored before p, and each check names the
-    first member that fails it).
+    first member that fails it, as `flow._require` does).
     """
     if p.mean.shape != q.mean.shape:
         raise ValueError(f"shape mismatch: mean {p.mean.shape} vs {q.mean.shape}")
@@ -187,13 +174,13 @@ def kl_gaussians(p: GaussianSummary, q: GaussianSummary) -> float | np.ndarray:
     _, logdet_q = _factor(q, "second (reference)")
     lp, logdet_p = _factor(p, "first")
     shift = q.mean - p.mean
-    _require(np.isfinite(shift).all(axis=-1), lambda i: "mean difference must not contain infs or NaNs")
+    _require(np.isfinite(shift), lambda at: "mean difference must not contain infs or NaNs", 1)
     a = q.inverse_factor @ lp
     u = (q.inverse_factor @ shift[..., None])[..., 0]
     maha = np.sum(u * u, axis=-1)
     kl = 0.5 * (np.sum(a * a, axis=(-2, -1)) + maha - d + logdet_q - logdet_p)
-    _require(np.isfinite(kl), lambda i: f"KL evaluated to {kl[i]:g}; a term overflowed")
-    _require(kl >= -1e-8, lambda i: f"KL evaluated to {kl[i]:g} < 0; inputs are inconsistent")
+    _require(np.isfinite(kl), lambda at: f"KL evaluated to {kl[at]:g}; a term overflowed")
+    _require(kl >= -1e-8, lambda at: f"KL evaluated to {kl[at]:g} < 0; inputs are inconsistent")
     kl = np.maximum(kl, 0.0)
     return float(kl) if kl.ndim == 0 else kl
 

@@ -209,6 +209,21 @@ def test_cli_summarize_round_trip(tmp_path):
     assert all(line.rsplit(",", 1)[1] == "3" for line in lines[1:])
 
 
+@pytest.mark.parametrize("content, where, message", [
+    ("", 1, "empty file, expected the header line"),
+    (",".join(HEADER) + "\nsynthetic,flow,4,12\n", 2, "expected 13 cells, got 4"),
+    (",".join(HEADER) + "\nsynthetic,flow,4,12,0,0.1,,0.5,1e-9,2,kl,1.0,ok\n"
+     "synthetic,flow,4,12,1,0.1,,0.5,1e-9,2,kl,abc,ok\n", 3, "value 'abc' of an ok row is not a number"),
+])
+def test_cli_summarize_rejects_malformed_input_with_one_line(tmp_path, content, where, message):
+    runs = tmp_path / "runs.csv"
+    runs.write_text(content)
+    with pytest.raises(SystemExit) as exc_info:
+        main(["summarize", str(runs), "--out", str(tmp_path / "never.csv")])
+    assert str(exc_info.value.code) == f"{runs}:{where}: {message}"
+    assert not (tmp_path / "never.csv").exists()
+
+
 def test_summarize_matches_manual_aggregation():
     rows = [
         ("synthetic", "flow", "4", "12", "0", "0.1", "", "0.5", "1e-9", "2", "kl", "1.0", "ok"),
@@ -325,6 +340,27 @@ def test_cli_rejects_empty_and_repeated_list_values(tmp_path, flag, value, messa
         main(["synthetic", flag, value, "--out", str(tmp_path / "never.csv")])
     assert str(exc_info.value.code) == message
     assert not (tmp_path / "never.csv").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    # each used to pass the config and then stop the run with a traceback
+    (["synthetic", "--seeds", "0,-1"], "seeds must all be nonnegative, got (0, -1)"),
+    (["pose", "--seeds", "-1"], "seeds must all be nonnegative, got (-1,)"),
+    (["theorem", "--seeds", "-1"], "seeds must all be nonnegative, got (-1,)"),
+    (["theorem", "--dt", "0.01"], "dt must be at most 1e-3 * t_end, got dt=0.01, t_end=1.0"),
+    (["theorem", "--t-end", "2", "--dt", "0.0021"], "dt must be at most 1e-3 * t_end, got dt=0.0021, t_end=2.0"),
+    (["theorem", "--dims", "0"], "theorem dims must all be >= 1, got (0,)"),
+])
+def test_cli_rejects_out_of_range_values(tmp_path, argv, message):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv + ["--out", str(tmp_path / "never.csv")])
+    assert str(exc_info.value.code) == message
+    assert not (tmp_path / "never.csv").exists()
+
+
+def test_dt_rule_admits_a_thousandth_of_t_end():
+    # the rule's 1e-7 relative tolerance passes dt = t_end / 1000 after rounding
+    assert make_config("theorem", {"t_end": 0.3, "dt": 0.3 / 1000}).dt == 0.3 / 1000
 
 
 def test_pose_manifest_records_the_grid_it_ran(tmp_path):
