@@ -119,48 +119,52 @@ def _lockstep(advance, values: list[float], init: np.ndarray, observe, n_steps: 
     through step n_steps, advanced in lockstep as one `Ensemble` stack.
 
     advance(ensemble, value) makes one step of a stack, with an array of one
-    value per member, or of a single ensemble. Each step observes every
-    member with observe(step, particles); a member whose observe raises
-    ValueError ends at that step. When a stacked step raises ValueError, it
-    is taken again member by member through the unstacked step: members
-    that raise there end at the step being made, with their own message,
-    and the others go on with the bits the stacked step would have given
-    them. Returns per value (observed, failed_step, reason): the run's
-    (step, observation) pairs, and for a run that ended early the step and
-    message of its failure (None, None otherwise). Failures are kept as
-    messages, not exceptions, whose tracebacks would hold the stack's
-    frames and arrays.
+    value per member, or of a single ensemble. Each step reads the whole
+    stack once, observe(step, particles) with the (k, n, d) particles of the
+    live runs, which gives one observation per member. Both calls fall back
+    to the members one by one when the stacked call raises ValueError: each
+    member is observed, or stepped, again on its own, a member that raises
+    there ends with its own message (at the step observed, or the step
+    being made), and the others go on with the bits the stacked call would
+    have given them. Returns per value (observed, failed_step, reason): the
+    run's (step, observation) pairs, and for a run that ended early the
+    step and message of its failure (None, None otherwise). Failures are
+    kept as messages, not exceptions, whose tracebacks would hold the
+    stack's frames and arrays.
     """
     observed = [[] for _ in values]
     ends = [(None, None)] * len(values)
     live = list(range(len(values)))  # the value index of each stack member
+
+    def one_by_one(call, step: int) -> dict:
+        """{j: call(j, i)} of each stack member j (run i) whose call does not
+        raise ValueError; a run whose call raises ends at step."""
+        results = {}
+        for j, i in enumerate(live):
+            try:
+                results[j] = call(j, i)
+            except ValueError as exc:
+                ends[i] = (step, str(exc))
+        return results
+
     ensemble = Ensemble(np.broadcast_to(init, (len(values),) + init.shape), 0)
     while live:
         t = ensemble.step_index
-        kept = []
-        for j, i in enumerate(live):
-            try:
-                observation = observe(t, ensemble.particles[j])
-            except ValueError as exc:
-                ends[i] = (t, str(exc))
-            else:
-                observed[i].append((t, observation))
-                kept.append(j)
-        if not kept or t == n_steps:
+        try:
+            seen = dict(enumerate(observe(t, ensemble.particles)))
+        except ValueError:
+            seen = one_by_one(lambda j, i: observe(t, ensemble.particles[j]), t)
+        for j, observation in seen.items():
+            observed[live[j]].append((t, observation))
+        if not seen or t == n_steps:
             break
-        if len(kept) < len(live):
-            live, ensemble = [live[j] for j in kept], ensemble[kept]
+        if len(seen) < len(live):
+            live, ensemble = [live[j] for j in seen], ensemble[list(seen)]
         try:
             ensemble = advance(ensemble, np.array([values[i] for i in live]))
         except ValueError:
-            stepped = {}
-            for j, i in enumerate(live):
-                member = ensemble[j]
-                try:
-                    stepped[i] = advance(member, values[i]).particles
-                except ValueError as exc:
-                    ends[i] = (t + 1, str(exc))
-            live = list(stepped)
+            stepped = one_by_one(lambda j, i: advance(ensemble[j], values[i]).particles, t + 1)
+            live = [live[j] for j in stepped]
             if live:
                 ensemble = Ensemble(np.stack(list(stepped.values())), t + 1)
     return [(steps, *end) for steps, end in zip(observed, ends)]
@@ -169,10 +173,14 @@ def _lockstep(advance, values: list[float], init: np.ndarray, observe, n_steps: 
 class Measure(NamedTuple):
     """How a sweep reads its runs.
 
-    observe(step, particles) keeps what one step needs; a ValueError fails
-    the run at that step. emit(observed) turns a run's (step, observation)
-    pairs, in step order, into its (ridge, step, metric, value, status)
-    rows once the run has ended, after its last step or at the step that
+    observe(step, particles) reads one step. Given the (k, n, d) stack of a
+    grid's live runs it returns one observation per member; given one run's
+    (n, d) particles, as `_lockstep` passes them when a stacked observe
+    raised, it returns that run's observation. A ValueError from one run's
+    observe fails the run at that step. emit(observed) turns a run's
+    (step, observation) pairs, in step order, into the CSV cells of its
+    rows from the ridge column on, (ridge, step, metric, value, status),
+    once the run has ended, after its last step or at the step that
     failed.
     """
 
@@ -185,10 +193,10 @@ def _sweep(config: ExperimentConfig, instance, selection: str) -> tuple[list[tup
 
     instance(d, n, seed) returns (problem, init, measure), measure a
     `Measure`. The grid runs of one (method, seed) advance in lockstep (see
-    `_lockstep`), so each step makes one loss and gradient evaluation for
-    all of them, and each run gets the bits it would get alone. Each
-    (method, grid point, seed) run has measure.observe each step and emits
-    its measured rows when it ends, followed by a run_failed row at the
+    `_lockstep`), so each step makes one loss and gradient evaluation and
+    one measure.observe read-out for all of them, and each run gets the
+    bits it would get alone. Each (method, grid point, seed) run emits its
+    measured rows when it ends, followed by a run_failed row at the
     step that raised if it failed: the step being observed when observe
     raised, the step being made when stepping raised. Rows are ordered by
     method, grid point, then seed. The best grid point per (method, d, n)
@@ -199,6 +207,7 @@ def _sweep(config: ExperimentConfig, instance, selection: str) -> tuple[list[tup
     failed at which step and why.
     """
     experiment, T = config.experiment, config.n_steps
+    last = _fmt(T)
     rows, failures = [], []
     for d, n in itertools.product(config.dims, config.n_particles):
         instances = {seed: instance(d, n, seed) for seed in config.seeds}
@@ -224,10 +233,11 @@ def _sweep(config: ExperimentConfig, instance, selection: str) -> tuple[list[tup
                         eta, epsilon = (None, value) if method == "mcl" else (value, None)
                         run = _cells(experiment, method, d, n, seed, eta, epsilon, gamma_col)
                         measured = measure.emit(observed)
-                        run_rows = [run + _cells(*row) for row in measured]
+                        run_rows = [run + cells for cells in measured]
                         if reason is None:
-                            final = next((v for _, step, metric, v, _ in measured
-                                          if step == T and metric == selection), None)
+                            # repr round-trips every float, so the cell gives the value's bits
+                            final = next((float(v) for _, step, metric, v, _ in measured
+                                          if step == last and metric == selection), None)
                             ended[i, seed] = (run_rows, final, None)
                             continue
                         run_rows.append(run + _cells(None, failed_step, "run_failed", None, "error"))
@@ -268,21 +278,29 @@ def _kl_measure(problem, n_steps: int) -> Measure:
     """The synthetic task's measure: KL rows between a Gaussian fit and both
     reference posteriors, in both argument orders.
 
-    observe keeps each step's fit (None where the fit fails), O(d^2) per
-    step and no particles. emit stacks a run's fits and computes each of
-    the four KL series in one `kl_gaussians` call against stacks of the
-    reference posteriors, which are built once per problem, so their
-    Cholesky factors are shared by all of its runs. If a stacked call
-    raises, every step is measured again on its own, so only the steps
-    whose KL fails become kl_error rows, and every other step gets the bits
-    its stacked KL would have had.
+    observe fits each step's stack in one `fit_gaussian` call and gives each
+    member its place in that stacked fit, (fit, j), O(d^2) per member and no
+    particles; a stacked fit that fails raises, so `_lockstep` observes the
+    members again one by one, which gives (fit, ()) of a member's own fit,
+    or None where it fails. emit reads a run's fits out of the step stacks
+    into one stack of its own, and computes each of the four KL series in
+    one `kl_gaussians` call against stacks of the reference posteriors,
+    which are built once per problem, so their Cholesky factors are shared
+    by all of its runs. If a stacked call raises, every step is measured
+    again on its own, so only the steps whose KL fails become kl_error
+    rows, and every other step gets the bits its stacked KL would have had.
+    Each step's ridge and step cells are formatted once, and each KL, a
+    Python float, is its repr.
     """
     expected = GaussianSummary.stack([expected_posterior(problem.center, t) for t in range(n_steps + 1)])
     exact = GaussianSummary.stack([exact_posterior(problem, t) for t in range(n_steps + 1)])
 
-    def observe(step: int, particles: np.ndarray) -> GaussianSummary | None:
+    def observe(step: int, particles: np.ndarray):
+        if particles.ndim == 3:
+            fit = fit_gaussian(particles)
+            return [(fit, j) for j in range(len(particles))]
         try:
-            return fit_gaussian(particles)
+            return fit_gaussian(particles), ()
         except ValueError:
             return None
 
@@ -297,26 +315,30 @@ def _kl_measure(problem, n_steps: int) -> Measure:
         values = {}
         if fitted:
             steps = [step for step, _ in fitted]
+            fits = GaussianSummary(np.stack([fit.mean[j] for _, (fit, j) in fitted]),
+                                   np.stack([fit.covariance[j] for _, (fit, j) in fitted]))
             # a run fitted at every step reads the whole reference stacks and
             # their cached factors; a partial run's sub-stacks factor themselves
             references = (expected, exact) if len(steps) == n_steps + 1 else (expected[steps], exact[steps])
             try:
-                series = kls(GaussianSummary.stack([fit for _, fit in fitted]), *references)
-                values = dict(zip(steps, zip(*series)))
+                values = dict(zip(steps, zip(*(series.tolist() for series in kls(fits, *references)))))
             except ValueError:
-                for step, fit in fitted:
+                for m, step in enumerate(steps):
                     try:
-                        values[step] = kls(fit, expected[step], exact[step])
+                        values[step] = kls(fits[m], expected[step], exact[step])
                     except ValueError:
                         values[step] = None
         rows = []
-        for step, fit in observed:
-            if fit is None:
-                rows.append((None, step, "fit_gaussian", None, "fit_error"))
-            elif values[step] is None:
-                rows.append((fit.ridge, step, "kl", None, "kl_error"))
+        for step, observation in observed:
+            if observation is None:
+                rows.append(_cells(None, step, "fit_gaussian", None, "fit_error"))
+                continue
+            fit, j = observation
+            head = _cells(fit.ridge[j], step)
+            if values[step] is None:
+                rows.append(head + ("kl", "", "kl_error"))
             else:
-                rows.extend((fit.ridge, step, name, v, "ok") for name, v in zip(KL_METRICS, values[step]))
+                rows.extend(head + (name, repr(v), "ok") for name, v in zip(KL_METRICS, values[step]))
         return rows
 
     return Measure(observe, emit)
@@ -355,13 +377,20 @@ def _pose_init(seed: int, n: int) -> np.ndarray:
 
 
 def _pose_measure(true_pose) -> Measure:
-    """The pose measure: translation and rotation error of each step's mean pose."""
-    def observe(step: int, particles: np.ndarray) -> tuple[float, float]:
+    """The pose measure: translation and rotation error (Python floats, each
+    cell its repr) of each step's mean pose, the means of a step's stack
+    taken in one `mean_pose` call."""
+    def observe(step: int, particles: np.ndarray):
+        if particles.ndim == 3:
+            return [pose_errors(pose, true_pose) for pose in mean_pose(particles)]
         return pose_errors(mean_pose(particles), true_pose)
 
     def emit(observed: list[tuple]) -> list[tuple]:
-        return [(None, step, metric, v, "ok")
-                for step, errors in observed for metric, v in zip(POSE_METRICS, errors)]
+        rows = []
+        for step, errors in observed:
+            head = _cells(None, step)
+            rows.extend(head + (metric, repr(v), "ok") for metric, v in zip(POSE_METRICS, errors))
+        return rows
 
     return Measure(observe, emit)
 

@@ -19,17 +19,18 @@ class GaussianSummary:
     A stack carries a leading axis: means (k, d) and covariances
     (k, d, d). `GaussianSummary.stack` builds one, and indexing a stack
     gives its members or a sub-stack. `ridge` records the diagonal
-    regularization applied by `fit_gaussian` (None for analytic summaries
-    and stacks); it is logged per run because it affects downstream KL
-    values. Mean and covariance are read-only copies, so the Cholesky
-    factor cached on first use cannot go stale. Construction raises
-    ValueError on non-finite or asymmetric input, naming a stack's first
-    such member.
+    regularization applied by `fit_gaussian`, one per member of a fitted
+    stack (None for analytic summaries, stacks built by `stack` and what
+    indexing takes out); it is logged per run because it affects
+    downstream KL values. Mean and covariance are read-only copies, so the
+    Cholesky factor cached on first use cannot go stale. Construction
+    raises ValueError on non-finite or asymmetric input, naming a stack's
+    first such member.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
-    ridge: float | None = None
+    ridge: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
         mean = np.array(self.mean, dtype=np.float64, copy=True)
@@ -97,31 +98,36 @@ class AssignmentResult:
     total_cost: float
 
 
-def default_ridge(covariance: np.ndarray) -> float:
-    """Trace-scaled diagonal loading: 1e-6 * tr(S)/d + 1e-12."""
+def default_ridge(covariance: np.ndarray) -> float | np.ndarray:
+    """Trace-scaled diagonal loading: 1e-6 * tr(S)/d + 1e-12, one per
+    member of a (k, d, d) stack."""
     cov = np.asarray(covariance, dtype=np.float64)
-    return 1e-6 * float(np.trace(cov)) / cov.shape[0] + 1e-12
+    return 1e-6 * np.trace(cov, axis1=-2, axis2=-1) / cov.shape[-1] + 1e-12
 
 
 def fit_gaussian(particles: np.ndarray) -> GaussianSummary:
-    """Sample mean and unbiased sample covariance plus ridge * I.
+    """Sample mean and unbiased sample covariance plus ridge * I, of an
+    (n, d) particle set or of each member of a (k, n, d) stack.
 
     With n close to or below d the raw sample covariance is singular; the
-    ridge (see `default_ridge`) keeps the fit usable for KL. Requires an
-    (n, d) array with n >= 2.
+    ridge (see `default_ridge`) keeps the fit usable for KL. Requires
+    n >= 2. A stack is fitted in one pass and gives one stacked summary,
+    with one ridge per member; each member has the bits of a fit of that
+    member alone, and a fit that fails for a member raises ValueError
+    naming it ("stack member j: " and the message the member gives alone).
     """
     x = np.asarray(particles, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"particles must be an (n, d) array, got shape {x.shape}")
-    n, d = x.shape
+    if x.ndim not in (2, 3):
+        raise ValueError(f"particles must be an (n, d) array (a (k, n, d) array for a stack), got shape {x.shape}")
+    n, d = x.shape[-2:]
     if n < 2:
         raise ValueError(f"need at least 2 particles to fit a Gaussian, got {n}")
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = centered.T @ centered / (n - 1)
-    cov = 0.5 * (cov + cov.T)
+    mean = x.mean(axis=-2)
+    centered = x - mean[..., None, :]
+    cov = np.swapaxes(centered, -1, -2) @ centered / (n - 1)
+    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
     ridge = default_ridge(cov)
-    cov = cov + ridge * np.eye(d)
+    cov = cov + ridge[..., None, None] * np.eye(d)
     return GaussianSummary(mean, cov, ridge=ridge)
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .flow import _in_member
 
 
 @dataclass(frozen=True)
@@ -67,9 +68,26 @@ def pose_unpack(vector: np.ndarray) -> PoseState:
     return PoseState(v[:3], canonicalize_rotation_vector(v[3:]))
 
 
-def mean_pose(particles: np.ndarray) -> PoseState:
-    """Euclidean mean of pose particles, canonicalized at read-out."""
-    return pose_unpack(np.asarray(particles, dtype=np.float64).mean(axis=0))
+def mean_pose(particles: np.ndarray) -> PoseState | list[PoseState]:
+    """Euclidean mean of pose particles, canonicalized at read-out: of an
+    (n, 6) particle set, or one per member of a (k, n, 6) stack.
+
+    A stack takes one mean over all its members, and each member's pose
+    has the bits of a call on that member alone. A mean that cannot be
+    read out (not finite, or a rotation-vector norm that overflows) raises
+    ValueError; for a stack the message is "stack member j: " followed by
+    the message the first such member j gives alone.
+    """
+    x = np.asarray(particles, dtype=np.float64)
+    if x.ndim != 3:
+        return pose_unpack(x.mean(axis=0))
+    poses = []
+    for j, mean in enumerate(x.mean(axis=-2)):
+        try:
+            poses.append(pose_unpack(mean))
+        except ValueError as exc:
+            raise ValueError(_in_member(j, str(exc))) from None
+    return poses
 
 
 def rotation_matrices(w: np.ndarray) -> np.ndarray:
@@ -221,8 +239,10 @@ class PoseRegistrationLoss:
         runs along the K points."""
         n = x.shape[0]
         rot = rotation_matrices(x[:, 3:])
-        rotated = (rot.reshape(3 * n, 3) @ self.model_points.T).reshape(n, 3, -1)  # one GEMM
-        return rot, rotated + x[:, :3, None] - self.observed_points.T
+        resid = (rot.reshape(3 * n, 3) @ self.model_points.T).reshape(n, 3, -1)  # one GEMM
+        resid += x[:, :3, None]  # in place: no second and third (n, 3, K) temporary
+        resid -= self.observed_points.T
+        return rot, resid
 
     def loss(self, step_index: int, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

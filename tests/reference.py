@@ -257,13 +257,14 @@ def unclamped_fresh_factor_kl(p_mean, p_cov, q_mean, q_cov):
 
 
 def per_step_kl_measure(problem, n_steps):
-    """The synthetic task's measure read one step at a time: observe returns
-    a step's rows at once, each KL from fresh factors, and emit only joins
-    them. A step is a fit_error row if the fit raises and a kl_error row if
-    any of its four KLs fails (a covariance that is not positive definite,
-    a result that is not finite or below -1e-8); otherwise it is one ok row
-    per KL_METRICS entry. The per-run measure must give the same rows in
-    the same order."""
+    """The synthetic task's measure read one member and one step at a time:
+    observe gives a stack's members one by one, and each member its step's
+    rows at once, each KL from fresh factors; emit only joins them. A step
+    is a fit_error row if the fit raises and a kl_error row if any of its
+    four KLs fails (a covariance that is not positive definite, a result
+    that is not finite or below -1e-8); otherwise it is one ok row per
+    KL_METRICS entry. The library's measure must give the same rows in the
+    same order."""
     expected = [expected_posterior(problem.center, t) for t in range(n_steps + 1)]
     exact = [exact_posterior(problem, t) for t in range(n_steps + 1)]
 
@@ -273,17 +274,23 @@ def per_step_kl_measure(problem, n_steps):
             raise ValueError(f"KL evaluated to {value}")
         return max(value, 0.0)
 
+    def cells(ridge, step, metric, value, status):
+        return ("" if ridge is None else repr(float(ridge)), str(step), metric,
+                "" if value is None else repr(float(value)), status)
+
     def observe(step, particles):
+        if particles.ndim == 3:
+            return [observe(step, x) for x in particles]
         try:
             fit = fit_gaussian(particles)
         except ValueError:
-            return [(None, step, "fit_gaussian", None, "fit_error")]
+            return [cells(None, step, "fit_gaussian", None, "fit_error")]
         e, x = expected[step], exact[step]
         try:
             values = [kl(fit, e), kl(e, fit), kl(fit, x), kl(x, fit)]
         except (ValueError, np.linalg.LinAlgError):
-            return [(fit.ridge, step, "kl", None, "kl_error")]
-        return [(fit.ridge, step, name, v, "ok") for name, v in zip(KL_METRICS, values)]
+            return [cells(fit.ridge, step, "kl", None, "kl_error")]
+        return [cells(fit.ridge, step, name, v, "ok") for name, v in zip(KL_METRICS, values)]
 
     return Measure(observe, lambda observed: [row for _, rows in observed for row in rows])
 
@@ -474,8 +481,9 @@ def assert_stack_steps_as_its_members(advance, particles, values, step_index=3):
 
 def runs_one_by_one(advance, values, init, observe, n_steps):
     """experiments._lockstep's runs made one at a time, each stepping an
-    unstacked ensemble: a run ends at the first ValueError of observe (at the
-    step observed) or of a step (at the step being made)."""
+    unstacked ensemble and observing its own (n, d) particles, the one-run
+    form of a measure's observe: a run ends at the first ValueError of
+    observe (at the step observed) or of a step (at the step being made)."""
     runs = []
     for value in values:
         ensemble, observed, end = Ensemble(init, 0), [], (None, None)

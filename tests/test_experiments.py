@@ -115,9 +115,11 @@ def test_sweep_run_failed_row_names_the_failing_step(failing):
     def observe(step, particles):
         if failing == "measure" and step == k:
             raise ValueError("measurement failed")
+        if particles.ndim == 3:  # a stack: one observation per member
+            return [observe(step, x) for x in particles]
         return float(np.sum(particles * particles))
 
-    measure = Measure(observe, lambda observed: [(None, step, "loss", v, "ok") for step, v in observed])
+    measure = Measure(observe, lambda observed: [("", str(step), "loss", repr(v), "ok") for step, v in observed])
     # a failing observe names the step it observed; a failing stepping
     # call names the step it was making
     problem = _NanGradientBowl(k if failing == "stepping" else np.inf)
@@ -189,6 +191,27 @@ def test_lockstep_sweep_keeps_the_rows_of_single_runs(monkeypatch):
     assert len({line.split(" step=")[1].split(":")[0] for line in failures}) > 1
     monkeypatch.setattr(experiments, "_lockstep", runs_one_by_one)
     assert run_synthetic(cfg) == (rows, failures)
+
+
+@pytest.mark.parametrize("experiment, read_out", [("synthetic", "fit_gaussian"), ("pose", "mean_pose")])
+def test_each_step_of_a_grid_is_read_out_in_one_call(monkeypatch, experiment, read_out):
+    # no run fails, so each (method, seed, step) reads its whole stack once
+    cfg = make_config(experiment, overrides={
+        "n_particles": (6,), "n_steps": 4, "seeds": (0, 1), "grid_orders": 2, "grid_points_per_order": 1,
+        **({"dims": (4,)} if experiment == "synthetic" else {}),
+    })
+    shapes = []
+    original = getattr(experiments, read_out)
+
+    def counted(particles):
+        shapes.append(particles.shape)
+        return original(particles)
+
+    monkeypatch.setattr(experiments, read_out, counted)
+    _, failures = experiments.RUNNERS[experiment](cfg)
+    assert failures == [] and len(cfg.methods) == 2
+    d = 4 if experiment == "synthetic" else 6
+    assert shapes == [(3, 6, d)] * (len(cfg.methods) * len(cfg.seeds) * (cfg.n_steps + 1))
 
 
 def test_header_exact():

@@ -74,6 +74,45 @@ def test_default_ridge_formula():
     assert default_ridge(cov) == pytest.approx(1e-6 * 2.0 + 1e-12)
 
 
+@pytest.mark.parametrize("k", [1, 2, 11])
+@pytest.mark.parametrize("n, d", [(2, 3), (7, 3), (2, 50), (13, 50)])
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_stacked_fit_gives_each_member_the_bits_of_its_own_fit(k, n, d, offset):
+    # members at scales 1e-3 to 1e3, and a cloud whose particles coincide
+    gen = np.random.default_rng([k, n, d])
+    x = offset + gen.standard_normal((k, n, d)) * 10.0 ** gen.uniform(-3, 3, size=(k, 1, 1))
+    x[-1, 1:] = x[-1, :1]
+    stacked = fit_gaussian(x)
+    assert stacked.mean.shape == (k, d) and stacked.covariance.shape == (k, d, d)
+    assert stacked.ridge.shape == (k,)
+    for j in range(k):
+        alone = fit_gaussian(x[j])
+        assert np.array_equal(stacked.mean[j], alone.mean)
+        assert np.array_equal(stacked.covariance[j], alone.covariance)
+        assert stacked.ridge[j] == alone.ridge
+
+
+@pytest.mark.parametrize("failure", ["nan", "overflow"])
+@pytest.mark.parametrize("k, j", [(2, 0), (2, 1), (11, 7)])
+def test_stacked_fit_names_the_member_that_fails(failure, k, j):
+    gen = np.random.default_rng(k)
+    x = gen.standard_normal((k, 5, 3))
+    for bad in {j, k - 1}:  # the first failing member is named
+        if failure == "nan":
+            x[bad, 2, 1] = math.nan
+        else:
+            x[bad] *= 1e200  # finite particles whose covariance overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError) as alone:
+            fit_gaussian(x[j])
+        with pytest.raises(ValueError) as stacked:
+            fit_gaussian(x)
+    assert str(stacked.value) == f"stack member {j}: {alone.value}"
+    assert "infs or NaNs" in str(alone.value)
+    with pytest.raises(ValueError, match="need at least 2 particles to fit a Gaussian, got 1"):
+        fit_gaussian(x[:, :1])
+
+
 # --- KL ----------------------------------------------------------------------
 
 

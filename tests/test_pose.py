@@ -315,6 +315,45 @@ def test_mean_pose_is_canonicalized():
     assert np.linalg.norm(state.rotation) < math.pi
 
 
+@pytest.mark.parametrize("k", [1, 2, 11])
+@pytest.mark.parametrize("n", [2, 7, 80])
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e3, 1e150])
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_stacked_mean_pose_gives_each_member_the_bits_of_its_own_mean(k, n, scale, offset):
+    # rotation vectors from below the small-angle range to far past pi
+    gen = np.random.default_rng([k, n])
+    x = offset + gen.standard_normal((k, n, 6)) * np.array([0.3, 0.3, 0.3, scale, scale, scale])
+    poses = mean_pose(x)
+    assert isinstance(poses, list) and len(poses) == k
+    for pose, member in zip(poses, x):
+        alone = mean_pose(member)
+        assert np.array_equal(pose.translation, alone.translation)
+        assert np.array_equal(pose.rotation, alone.rotation)
+
+
+@pytest.mark.parametrize("failure, message", [
+    ("nan", "pose vector must be finite"),
+    ("mean_overflow", "pose vector must be finite"),
+    ("norm_overflow", "rotation-vector norm overflowed to inf"),
+])
+@pytest.mark.parametrize("k, j", [(2, 0), (2, 1), (11, 7)])
+def test_stacked_mean_pose_names_the_member_that_fails(failure, message, k, j):
+    x = np.random.default_rng(k).standard_normal((k, 5, 6))
+    for bad in {j, k - 1}:  # the first failing member is named
+        if failure == "nan":
+            x[bad, 3, 4] = math.nan
+        elif failure == "mean_overflow":
+            x[bad, :, 0] = 1.7e308  # finite particles whose sum overflows
+        else:
+            x[bad, :, 3:] = [-3.83e153, 1.71e154, 5.20e153]  # |w| is finite, its square is not
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=message) as alone:
+            mean_pose(x[j])
+        with pytest.raises(ValueError) as stacked:
+            mean_pose(x)
+    assert str(stacked.value) == f"stack member {j}: {alone.value}"
+
+
 @pytest.mark.parametrize("rotation", [[0.1, -0.2, 0.3], [0.0, 0.0, 1.5 * math.pi]])
 def test_unpacked_pose_owns_its_arrays(rotation):
     vector = np.array([1.0, 2.0, 3.0, *rotation])
