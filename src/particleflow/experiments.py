@@ -23,7 +23,7 @@ from . import __version__, flow, rng
 from .baselines import gradient_descent_step, mcl_step
 from .bounds import gronwall_bound, max_ratio, perturbed_flow_check
 from .config import ExperimentConfig
-from .flow import Ensemble, gradient_coefficient
+from .flow import Ensemble, MemberError, gradient_coefficient
 from .losses import exact_posterior, expected_posterior, sample_synthetic_problem
 from .metrics import GaussianSummary, fit_gaussian, kl_gaussians, pose_errors
 from .pose import make_pose_problem, mean_pose, noise_variance, random_rotation_vectors
@@ -114,70 +114,70 @@ def resolve_grid(config: ExperimentConfig, method: str, d: int) -> tuple[float, 
     return gamma, center, grid_values(center, config.grid_orders, config.grid_points_per_order)
 
 
+def _drop_failing(call, stack, members: list) -> tuple:
+    """call(stack), the one recovery rule for a stacked call: members says
+    what each member of stack stands for. While the call raises
+    `MemberError`, the member it names leaves members, in place, and the
+    stack (copied only then), and the call is made again on the others; a
+    ValueError that names no member fails all that are left. Returns the
+    stack left, the call's result on it (both None if none is left) and a
+    (member, reason) pair per failed member, reason being its own message."""
+    failed = []
+    while members:
+        try:
+            return stack, call(stack), failed
+        except MemberError as exc:
+            keep = [j for j in range(len(members)) if j != exc.member]
+            failed.append((members.pop(exc.member), exc.reason))
+            stack = stack[keep] if keep else None
+        except ValueError as exc:
+            failed.extend((member, str(exc)) for member in members)
+            members.clear()
+    return None, None, failed
+
+
 def _lockstep(advance, values: list[float], init: np.ndarray, observe, n_steps: int) -> list[tuple]:
     """The runs of one (method, seed) grid, one per value, from init at step 0
     through step n_steps, advanced in lockstep as one `Ensemble` stack.
 
-    advance(ensemble, value) makes one step of a stack, with an array of one
-    value per member, or of a single ensemble. Each step reads the whole
-    stack once, observe(step, particles) with the (k, n, d) particles of the
-    live runs, which gives one observation per member. Both calls fall back
-    to the members one by one when the stacked call raises ValueError: each
-    member is observed, or stepped, again on its own, a member that raises
-    there ends with its own message (at the step observed, or the step
-    being made), and the others go on with the bits the stacked call would
-    have given them. Returns per value (observed, failed_step, reason): the
-    run's (step, observation) pairs, and for a run that ended early the
-    step and message of its failure (None, None otherwise). Failures are
-    kept as messages, not exceptions, whose tracebacks would hold the
-    stack's frames and arrays.
+    advance(ensemble, values) makes one step of the stack, with an array
+    of one value per member. Each step reads the whole stack once,
+    observe(step, particles) with the (k, n, d) particles of the live
+    runs, which gives one observation per member. Both calls follow
+    `_drop_failing`: a run that a failing call names ends, at the step
+    observed or at the step being made, and the others go on with the bits
+    the stacked call would have given them. Returns per value (observed,
+    failed_step, reason): the run's (step, observation) pairs, and for a
+    run that ended early the step and message of its failure (None, None
+    otherwise). Failures are kept as messages, not exceptions, whose
+    tracebacks would hold the stack's frames and arrays.
     """
     observed = [[] for _ in values]
-    ends = [(None, None)] * len(values)
+    ends = {}  # value index -> (failed_step, reason) of each run that ended early
     live = list(range(len(values)))  # the value index of each stack member
-
-    def one_by_one(call, step: int) -> dict:
-        """{j: call(j, i)} of each stack member j (run i) whose call does not
-        raise ValueError; a run whose call raises ends at step."""
-        results = {}
-        for j, i in enumerate(live):
-            try:
-                results[j] = call(j, i)
-            except ValueError as exc:
-                ends[i] = (step, str(exc))
-        return results
-
     ensemble = Ensemble(np.broadcast_to(init, (len(values),) + init.shape), 0)
     while live:
         t = ensemble.step_index
-        try:
-            seen = dict(enumerate(observe(t, ensemble.particles)))
-        except ValueError:
-            seen = one_by_one(lambda j, i: observe(t, ensemble.particles[j]), t)
-        for j, observation in seen.items():
-            observed[live[j]].append((t, observation))
-        if not seen or t == n_steps:
+        ensemble, seen, failed = _drop_failing(lambda stack: observe(t, stack.particles), ensemble, live)
+        ends.update((i, (t, reason)) for i, reason in failed)
+        for i, observation in zip(live, seen or ()):
+            observed[i].append((t, observation))
+        if not live or t == n_steps:
             break
-        if len(seen) < len(live):
-            live, ensemble = [live[j] for j in seen], ensemble[list(seen)]
-        try:
-            ensemble = advance(ensemble, np.array([values[i] for i in live]))
-        except ValueError:
-            stepped = one_by_one(lambda j, i: advance(ensemble[j], values[i]).particles, t + 1)
-            live = [live[j] for j in stepped]
-            if live:
-                ensemble = Ensemble(np.stack(list(stepped.values())), t + 1)
-    return [(steps, *end) for steps, end in zip(observed, ends)]
+        ensemble, failed = _drop_failing(
+            lambda stack: advance(stack, np.array([values[i] for i in live])), ensemble, live)[1:]
+        ends.update((i, (t + 1, reason)) for i, reason in failed)
+    return [(steps, *ends.get(i, (None, None))) for i, steps in enumerate(observed)]
 
 
 class Measure(NamedTuple):
     """How a sweep reads its runs.
 
-    observe(step, particles) reads one step. Given the (k, n, d) stack of a
-    grid's live runs it returns one observation per member; given one run's
-    (n, d) particles, as `_lockstep` passes them when a stacked observe
-    raised, it returns that run's observation. A ValueError from one run's
-    observe fails the run at that step. emit(observed) turns a run's
+    observe(step, particles) reads one step of a grid's live runs, given
+    as their (k, n, d) stack, and returns one observation per member. It
+    fails runs as a stacked step does (see `_lockstep`): a `MemberError`
+    ends the run it names at that step, and a ValueError that names no
+    member ends every live run. emit(observed) turns a run's
     (step, observation) pairs, in step order, into the CSV cells of its
     rows from the ridge column on, (ridge, step, metric, value, status),
     once the run has ended, after its last step or at the step that
@@ -280,29 +280,25 @@ def _kl_measure(problem, n_steps: int) -> Measure:
 
     observe fits each step's stack in one `fit_gaussian` call and gives each
     member its place in that stacked fit, (fit, j), O(d^2) per member and no
-    particles; a stacked fit that fails raises, so `_lockstep` observes the
-    members again one by one, which gives (fit, ()) of a member's own fit,
-    or None where it fails. emit reads a run's fits out of the step stacks
-    into one stack of its own, and computes each of the four KL series in
-    one `kl_gaussians` call against stacks of the reference posteriors,
-    which are built once per problem, so their Cholesky factors are shared
-    by all of its runs. If a stacked call raises, every step is measured
-    again on its own, so only the steps whose KL fails become kl_error
-    rows, and every other step gets the bits its stacked KL would have had.
-    Each step's ridge and step cells are formatted once, and each KL, a
-    Python float, is its repr.
+    particles, or None where `_drop_failing` drops it from the fit (a
+    fit_error row; its run goes on). emit reads a run's fits out of the
+    step stacks into one stack of its own, and computes each of the four KL
+    series in one `kl_gaussians` call against stacks of the reference
+    posteriors, which are built once per problem, so their Cholesky
+    factors are shared by all of its runs. If a stacked call raises, every
+    step is measured again on its own, so only the steps whose KL fails
+    become kl_error rows, and every other step gets the bits its stacked
+    KL would have had. Each step's ridge and step cells are formatted
+    once, and each KL, a Python float, is its repr.
     """
     expected = GaussianSummary.stack([expected_posterior(problem.center, t) for t in range(n_steps + 1)])
     exact = GaussianSummary.stack([exact_posterior(problem, t) for t in range(n_steps + 1)])
 
-    def observe(step: int, particles: np.ndarray):
-        if particles.ndim == 3:
-            fit = fit_gaussian(particles)
-            return [(fit, j) for j in range(len(particles))]
-        try:
-            return fit_gaussian(particles), ()
-        except ValueError:
-            return None
+    def observe(step: int, particles: np.ndarray) -> list:
+        fitted = list(range(len(particles)))
+        _, fit, _ = _drop_failing(fit_gaussian, particles, fitted)
+        places = {member: j for j, member in enumerate(fitted)}
+        return [(fit, places[m]) if m in places else None for m in range(len(particles))]
 
     def kls(fit: GaussianSummary, expected_t: GaussianSummary, exact_t: GaussianSummary) -> tuple:
         """The KL_METRICS values of fit (one summary, or a stack) and the
@@ -379,11 +375,10 @@ def _pose_init(seed: int, n: int) -> np.ndarray:
 def _pose_measure(true_pose) -> Measure:
     """The pose measure: translation and rotation error (Python floats, each
     cell its repr) of each step's mean pose, the means of a step's stack
-    taken in one `mean_pose` call."""
-    def observe(step: int, particles: np.ndarray):
-        if particles.ndim == 3:
-            return [pose_errors(pose, true_pose) for pose in mean_pose(particles)]
-        return pose_errors(mean_pose(particles), true_pose)
+    taken in one `mean_pose` call. A mean that cannot be read out raises
+    `MemberError` for its run."""
+    def observe(step: int, particles: np.ndarray) -> list:
+        return [pose_errors(pose, true_pose) for pose in mean_pose(particles)]
 
     def emit(observed: list[tuple]) -> list[tuple]:
         rows = []

@@ -97,20 +97,27 @@ class Ensemble:
         return self.particles.shape[-2]
 
 
-def _in_member(member: int, message: str) -> str:
-    """message as raised for member `member` of a stack."""
-    return f"stack member {member}: {message}"
+class MemberError(ValueError):
+    """A check that failed for stack member `member`, whose message alone
+    is `reason`: "stack member {member}: {reason}"."""
+
+    def __init__(self, member: int, reason: str):
+        super().__init__(member, reason)  # args that pickling rebuilds it from
+        self.member, self.reason = member, reason
+
+    def __str__(self) -> str:
+        return f"stack member {self.member}: {self.reason}"
 
 
 def _require(ok: np.ndarray, describe, item_axes: int = 0) -> None:
     """Raise ValueError(describe(at)) at ok's first False entry in row-major
     order, at being its full index. An ok with more than item_axes axes
-    flags a stack, whose leading axis indexes members: the message then
+    flags a stack, whose leading axis indexes members: a MemberError then
     names the member. A check passes its whole mask, so while it holds it
     costs one reduction, and the first False lies in the first failing row."""
     if not ok.all():
         at = tuple(np.argwhere(~ok)[0].tolist())
-        raise ValueError(_in_member(at[0], describe(at)) if ok.ndim > item_axes else describe(at))
+        raise MemberError(at[0], describe(at)) if ok.ndim > item_axes else ValueError(describe(at))
 
 
 def _per_member(value, ensemble: Ensemble, name: str) -> np.ndarray:
@@ -300,16 +307,16 @@ def step(ensemble: Ensemble, loss_model, gamma: float, eta) -> Ensemble:
     update order. A stack takes one eta for all members or one per member.
     Its losses and gradients are evaluated once for the whole stack (see
     `evaluate_losses`), and `flow_update` runs per member, so each member
-    gets the bits it would get stepped alone. A failing member fails the
-    step, with its index leading the message.
+    gets the bits it would get stepped alone. Its etas are checked first;
+    a failing member fails the step with a `MemberError` naming it.
     """
+    etas = _per_member(eta, ensemble, "eta")
     normalized_losses, grads = evaluate_losses(loss_model, ensemble)
     x = ensemble.particles
-    etas = np.broadcast_to(eta, x.shape[:-2])
     displacements = np.empty_like(x)
     for i in np.ndindex(etas.shape):
         try:
             displacements[i] = flow_update(ensemble[i], normalized_losses[i], grads[i], gamma, float(etas[i]))
         except ValueError as exc:
-            raise ValueError(_in_member(i[0], str(exc)) if i else str(exc)) from None
+            raise (MemberError(i[0], str(exc)) if i else exc) from None
     return Ensemble(x + displacements, ensemble.step_index + 1)

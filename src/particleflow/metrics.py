@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .flow import _in_member, _require
+from .flow import MemberError, _require
 from .pose import PoseState
 
 
@@ -113,8 +113,8 @@ def fit_gaussian(particles: np.ndarray) -> GaussianSummary:
     ridge (see `default_ridge`) keeps the fit usable for KL. Requires
     n >= 2. A stack is fitted in one pass and gives one stacked summary,
     with one ridge per member; each member has the bits of a fit of that
-    member alone, and a fit that fails for a member raises ValueError
-    naming it ("stack member j: " and the message the member gives alone).
+    member alone, and a fit that fails for a member raises a `MemberError`
+    naming it, whose reason is the message the member gives alone.
     """
     x = np.asarray(particles, dtype=np.float64)
     if x.ndim not in (2, 3):
@@ -133,8 +133,8 @@ def fit_gaussian(particles: np.ndarray) -> GaussianSummary:
 
 def _factor(g: GaussianSummary, name: str) -> tuple[np.ndarray, float | np.ndarray]:
     """g's cached Cholesky factor and log-determinant, or a ValueError that
-    names the argument and gives the eigenvalue range (of a stack's first
-    member that is not positive definite)."""
+    names the argument and gives the eigenvalue range (a `MemberError` of a
+    stack's first member that is not positive definite)."""
     try:
         return g.cholesky
     except np.linalg.LinAlgError:
@@ -144,7 +144,7 @@ def _factor(g: GaussianSummary, name: str) -> tuple[np.ndarray, float | np.ndarr
             try:
                 _factor(g[i], name)
             except ValueError as exc:
-                raise ValueError(_in_member(i, str(exc))) from None
+                raise MemberError(i, str(exc)) from None
     eigs = np.linalg.eigvalsh(g.covariance)
     raise ValueError(
         f"{name} covariance is not positive definite "
@@ -169,8 +169,8 @@ def kl_gaussians(p: GaussianSummary, q: GaussianSummary) -> float | np.ndarray:
     since both take the same route. Raises ValueError with an eigenvalue
     diagnostic if a covariance is not positive definite, and ValueError on
     non-finite input, on a KL that is not finite (a term overflowed) and on
-    a KL below -1e-8. For stacks the message is "stack member i: " followed by
-    the message member i gives on its own, for one failing member i (not
+    a KL below -1e-8. For stacks it is a `MemberError` whose reason is the
+    message member i gives on its own, for one failing member i (not
     always the lowest: q is factored before p, and each check names the
     first member that fails it, as `flow._require` does).
     """

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .flow import _in_member
+from .flow import MemberError
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,8 @@ def mean_pose(particles: np.ndarray) -> PoseState | list[PoseState]:
     A stack takes one mean over all its members, and each member's pose
     has the bits of a call on that member alone. A mean that cannot be
     read out (not finite, or a rotation-vector norm that overflows) raises
-    ValueError; for a stack the message is "stack member j: " followed by
-    the message the first such member j gives alone.
+    ValueError; for a stack it is a `MemberError` naming the first such
+    member j, whose reason is the message j gives alone.
     """
     x = np.asarray(particles, dtype=np.float64)
     if x.ndim != 3:
@@ -86,7 +86,7 @@ def mean_pose(particles: np.ndarray) -> PoseState | list[PoseState]:
         try:
             poses.append(pose_unpack(mean))
         except ValueError as exc:
-            raise ValueError(_in_member(j, str(exc))) from None
+            raise MemberError(j, str(exc)) from None
     return poses
 
 
@@ -280,8 +280,6 @@ def make_pose_problem(n_points: int, sigma: float, seed: int) -> PoseRegistratio
     """
     if n_points < 3:
         raise ValueError(f"pose problems need at least 3 points, got {n_points}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
     gen = rng.stream(seed, rng.POSE_PROBLEM)
     model = gen.uniform(-0.5, 0.5, size=(n_points, 3))
     rotation = random_rotation_vectors(gen, 1)[0]

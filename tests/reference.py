@@ -16,7 +16,7 @@ import scipy.linalg
 from scipy.spatial.transform import Rotation
 
 from particleflow.experiments import KL_METRICS, Measure
-from particleflow.flow import Ensemble, gradient_coefficient
+from particleflow.flow import Ensemble, MemberError, gradient_coefficient
 from particleflow.losses import exact_posterior, expected_posterior, sample_synthetic_problem
 from particleflow.metrics import fit_gaussian
 from particleflow.pose import make_pose_problem, noise_variance
@@ -460,17 +460,19 @@ STACK_CASES = {
 def assert_stack_steps_as_its_members(advance, particles, values, step_index=3):
     """advance(stack, values) for the stack of `particles` against advance(member,
     value) for each member alone: bit for bit when no member fails, and a
-    ValueError naming a stack member when one does."""
+    MemberError naming a failing member, with the message it gives alone,
+    when one does."""
     stack = Ensemble(particles, step_index)
     alone = []
     for x, value in zip(particles, values):
         try:
             alone.append(advance(Ensemble(x, step_index), float(value)).particles)
-        except ValueError:
-            alone.append(None)
-    if any(x is None for x in alone):
-        with pytest.raises(ValueError, match="^stack member [0-9]+: "):
+        except ValueError as exc:
+            alone.append(str(exc))
+    if any(isinstance(x, str) for x in alone):
+        with pytest.raises(MemberError) as failed:
             advance(stack, values)
+        assert failed.value.reason == alone[failed.value.member]
         return
     stepped = advance(stack, values)
     assert stepped.step_index == step_index + 1
@@ -481,18 +483,19 @@ def assert_stack_steps_as_its_members(advance, particles, values, step_index=3):
 
 def runs_one_by_one(advance, values, init, observe, n_steps):
     """experiments._lockstep's runs made one at a time, each stepping an
-    unstacked ensemble and observing its own (n, d) particles, the one-run
-    form of a measure's observe: a run ends at the first ValueError of
-    observe (at the step observed) or of a step (at the step being made)."""
+    unstacked ensemble and reading its particles out as a one-member stack
+    (observe takes stacks only): a run ends at the first ValueError of
+    observe (at the step observed; a MemberError's reason is the run's own
+    message) or of a step (at the step being made)."""
     runs = []
     for value in values:
         ensemble, observed, end = Ensemble(init, 0), [], (None, None)
         while True:
             t = ensemble.step_index
             try:
-                observed.append((t, observe(t, ensemble.particles)))
+                observed.append((t, observe(t, ensemble.particles[None])[0]))
             except ValueError as exc:
-                end = (t, str(exc))
+                end = (t, exc.reason if isinstance(exc, MemberError) else str(exc))
                 break
             if t == n_steps:
                 break

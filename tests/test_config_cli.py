@@ -350,6 +350,7 @@ def test_cli_rejects_empty_and_repeated_list_values(tmp_path, flag, value, messa
     (["theorem", "--dt", "0.01"], "dt must be at most 1e-3 * t_end, got dt=0.01, t_end=1.0"),
     (["theorem", "--t-end", "2", "--dt", "0.0021"], "dt must be at most 1e-3 * t_end, got dt=0.0021, t_end=2.0"),
     (["theorem", "--dims", "0"], "theorem dims must all be >= 1, got (0,)"),
+    (["pose", "--sigma", "-0.1"], "sigma must be nonnegative, got -0.1"),
 ])
 def test_cli_rejects_out_of_range_values(tmp_path, argv, message):
     with pytest.raises(SystemExit) as exc_info:

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,43 @@ def test_per_run_measure_keeps_the_rows_of_a_per_step_measure(monkeypatch):
             assert float(row[value]) == pytest.approx(float(reference[value]), rel=1e-12)
 
 
+# the synthetic sweep whose diverging grid edges fail their steps, their
+# Gaussian fits (a covariance that overflowed) and two KLs
+SYNTHETIC_FAILURE = make_config("synthetic", overrides={
+    "dims": (4,), "n_particles": (12,), "n_steps": 20, "seeds": (0, 1),
+    "methods": ("flow", "mcl", "gd"), "grid_orders": 30, "grid_points_per_order": 1,
+})
+
+
+def record_stacked_calls(monkeypatch) -> list:
+    """Record each call `_lockstep` makes as (name, shape): name is observe
+    or advance, shape that of the particles given. Also asserts that
+    advance gets one value per member."""
+    calls, lockstep = [], experiments._lockstep
+
+    def recorded(advance, values, init, observe, n_steps):
+        def observed(step, particles):
+            calls.append(("observe", particles.shape))
+            return observe(step, particles)
+
+        def advanced(ensemble, etas):
+            assert np.shape(etas) == ensemble.particles.shape[:1]
+            calls.append(("advance", ensemble.particles.shape))
+            return advance(ensemble, etas)
+
+        return lockstep(advanced, values, init, observed, n_steps)
+
+    monkeypatch.setattr(experiments, "_lockstep", recorded)
+    return calls
+
+
+def assert_only_stacks(calls, n, d):
+    """Every recorded call got a stack of (n, d) members, and some got fewer
+    members than the grid has: the stacks dropped runs that failed."""
+    assert calls and all(len(shape) == 3 and shape[1:] == (n, d) for _, shape in calls)
+    assert len({shape[0] for _, shape in calls}) > 1
+
+
 @pytest.mark.parametrize("method, center, failure", [
     # the top grid point's step fails (a non-finite gradient)
     ("gd", 0.20833333333333334, "eta=2.0833333333333335 step=27: non-finite gradient for particle 0 at step 26"),
@@ -170,7 +209,9 @@ def test_a_failing_grid_run_leaves_the_others_their_single_run_rows(monkeypatch,
         "n_particles": (20,), "n_steps": 30, "seeds": (0,), "methods": (method,),
         "grid_center": center, "grid_orders": 2, "grid_points_per_order": 1,
     })
+    calls = record_stacked_calls(monkeypatch)
     rows, failures = run_pose(cfg)
+    assert_only_stacks(calls, 20, 6)
     assert len(failures) == 1 and failure in failures[0]
     failed = [r for r in records(rows) if r["metric"] == "run_failed"]
     assert len(failed) == 1 and f"step={failed[0]['step']}:" in failures[0]
@@ -187,7 +228,9 @@ def test_lockstep_sweep_keeps_the_rows_of_single_runs(monkeypatch):
         "dims": (4,), "n_particles": (5,), "n_steps": 20, "seeds": (0, 1),
         "methods": ("flow", "mcl", "gd"), "grid_orders": 30, "grid_points_per_order": 1,
     })
+    calls = record_stacked_calls(monkeypatch)
     rows, failures = run_synthetic(cfg)
+    assert_only_stacks(calls, 5, 4)
     assert len({line.split(" step=")[1].split(":")[0] for line in failures}) > 1
     monkeypatch.setattr(experiments, "_lockstep", runs_one_by_one)
     assert run_synthetic(cfg) == (rows, failures)
@@ -212,6 +255,40 @@ def test_each_step_of_a_grid_is_read_out_in_one_call(monkeypatch, experiment, re
     assert failures == [] and len(cfg.methods) == 2
     d = 4 if experiment == "synthetic" else 6
     assert shapes == [(3, 6, d)] * (len(cfg.methods) * len(cfg.seeds) * (cfg.n_steps + 1))
+
+
+def test_a_failing_fit_drops_its_member_from_the_stacked_fit(monkeypatch):
+    # a run whose covariance overflowed stays live with fit_error rows; its
+    # step's fit is made again on the stack of the others, never member by
+    # member: one stacked fit per observed step, plus one per fit_error row
+    calls = record_stacked_calls(monkeypatch)
+    fits = []
+    fit = experiments.fit_gaussian
+
+    def recorded(particles):
+        fits.append(particles.shape)
+        return fit(particles)
+
+    monkeypatch.setattr(experiments, "fit_gaussian", recorded)
+    rows, _ = run_synthetic(SYNTHETIC_FAILURE)
+    fit_errors = sum(row[-1] == "fit_error" for row in rows)
+    observed = sum(name == "observe" for name, _ in calls)
+    assert fit_errors > 0 and all(len(shape) == 3 for shape in fits)
+    assert len(fits) == observed + fit_errors
+
+
+def test_sweeps_with_failing_runs_leave_no_reference_cycles():
+    pose = make_config("pose", overrides={
+        "n_particles": (20,), "n_steps": 30, "seeds": (0,), "methods": ("flow",),
+        "grid_center": 105834.75773542335, "grid_orders": 2, "grid_points_per_order": 1,
+    })
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_synthetic(SYNTHETIC_FAILURE)[1] and run_pose(pose)[1]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_header_exact():

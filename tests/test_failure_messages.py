@@ -3,14 +3,17 @@ the same input as a member m >= 1 of a stack whose other members pass.
 
 Each row of CASES is (fail, message, m): fail(stacked) raises ValueError
 on the single input (stacked False) or on the stack (stacked True). The
-single message must equal `message`, and the stacked one must equal
+single message must equal `message`. The stacked error must be a
+`MemberError` of member m whose reason is `message`, so its message is
 "stack member m: " followed by it.
 """
+import pickle
+
 import numpy as np
 import pytest
 
 from particleflow.baselines import gradient_descent_step, mcl_step
-from particleflow.flow import Ensemble, evaluate_losses, step
+from particleflow.flow import Ensemble, MemberError, evaluate_losses, step
 from particleflow.metrics import GaussianSummary, kl_gaussians
 
 # four particles in d=3, all within 0.2 of each other
@@ -162,5 +165,9 @@ def test_failure_message_single_and_stacked(case, monkeypatch):
             fail(False, monkeypatch)
         with pytest.raises(ValueError) as stacked:
             fail(True, monkeypatch)
-    assert str(single.value) == message
-    assert str(stacked.value) == f"stack member {member}: {message}"
+    assert str(single.value) == message and not isinstance(single.value, MemberError)
+    exc = stacked.value
+    assert isinstance(exc, MemberError) and exc.member == member and exc.reason == message
+    assert str(exc) == f"stack member {member}: {message}"
+    copy = pickle.loads(pickle.dumps(exc))
+    assert (copy.member, copy.reason, str(copy)) == (member, message, str(exc))

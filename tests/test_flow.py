@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from particleflow import flow
 from particleflow.flow import (
     Ensemble,
+    MemberError,
     evaluate_losses,
     flow_update,
     gradient_coefficient,
@@ -534,10 +535,22 @@ def test_evaluate_losses_normalizes_each_stack_member_by_its_own_mean():
         assert np.array_equal(grads[member], own_grads)
 
 
+class _UnreachableLoss:
+    """A loss model that must not be evaluated."""
+
+    def loss(self, step_index, x):
+        raise AssertionError("loss evaluated")
+
+    grad = loss
+
+
 def test_stacked_flow_step_names_the_failing_member():
-    x = np.zeros((3, 2, 3))
-    with pytest.raises(ValueError, match="^stack member 2: eta must be positive, got -1.0$"):
-        step(Ensemble(x), QuadraticWellLoss(np.zeros(3)), 1.0, [1.0, 2.0, -1.0])
+    # a bad eta is named before any loss is evaluated, stacked or alone
+    with pytest.raises(MemberError, match="^stack member 2: eta must be positive, got -1.0$") as stacked:
+        step(Ensemble(np.zeros((3, 2, 3))), _UnreachableLoss(), 1.0, [1.0, 2.0, -1.0])
+    assert (stacked.value.member, stacked.value.reason) == (2, "eta must be positive, got -1.0")
+    with pytest.raises(ValueError, match="^eta must be positive, got 0.0$"):
+        step(Ensemble(np.zeros((2, 3))), _UnreachableLoss(), 1.0, 0)
 
 
 @pytest.mark.parametrize("k", (1, 2, 11))

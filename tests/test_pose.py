@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from particleflow.flow import MemberError
 from particleflow.pose import (
     PoseState,
     _quaternion_rotation_vectors,
@@ -222,6 +223,11 @@ def test_problem_rejects_too_few_points():
         make_pose_problem(2, sigma=0.1, seed=0)
 
 
+def test_problem_rejects_a_negative_sigma_through_its_loss():
+    with pytest.raises(ValueError, match=r"^sigma must be nonnegative, got -0.1$"):
+        make_pose_problem(5, sigma=-0.1, seed=0)
+
+
 def test_loss_at_truth_equals_noise_residual_only():
     sigma = 0.02
     problem = make_pose_problem(10, sigma=sigma, seed=6)
@@ -352,6 +358,7 @@ def test_stacked_mean_pose_names_the_member_that_fails(failure, message, k, j):
         with pytest.raises(ValueError) as stacked:
             mean_pose(x)
     assert str(stacked.value) == f"stack member {j}: {alone.value}"
+    assert isinstance(stacked.value, MemberError) and (stacked.value.member, stacked.value.reason) == (j, str(alone.value))
 
 
 @pytest.mark.parametrize("rotation", [[0.1, -0.2, 0.3], [0.0, 0.0, 1.5 * math.pi]])

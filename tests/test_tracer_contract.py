@@ -5,8 +5,10 @@ module attributes through which the experiments call them. A step function bound
 a module-level dict) escapes the wrapper and records no calls, and a
 `flow_update` whose first argument has no `.particles` breaks the tracer's
 pair count. Both would stop the benchmark's traced run; this test runs the
-same check on two tiny CLI calls. The perfbench modules are loaded from
-their files and not modified.
+same check on tiny CLI calls, one of them a pose sweep whose diverging grid
+edges fail, so that the boundaries are also checked where a stacked call
+drops a failing run. The perfbench modules are loaded from their files and
+not modified.
 """
 import importlib.util
 import sys
@@ -34,11 +36,13 @@ TINY = ["--n-particles", "6", "--n-steps", "2", "--seeds", "0",
         "--grid-orders", "1", "--grid-points-per-order", "1"]
 
 
-@pytest.mark.parametrize("workload, argv", [
-    ("synthetic_sweep", ["synthetic", "--dims", "4"] + TINY),
-    ("pose_registration", ["pose"] + TINY),
+@pytest.mark.parametrize("workload, argv, fails", [
+    ("synthetic_sweep", ["synthetic", "--dims", "4"] + TINY, False),
+    ("pose_registration", ["pose"] + TINY, False),
+    ("pose_registration", ["pose", "--n-particles", "20", "--n-steps", "30", "--seeds", "0",
+                           "--grid-orders", "24", "--grid-points-per-order", "1"], True),
 ])
-def test_tracer_records_every_hot_layer(tmp_path, workload, argv):
+def test_tracer_records_every_hot_layer(tmp_path, workload, argv, fails):
     spans = tracer.Tracer()
     spans.install()
     try:
@@ -47,3 +51,4 @@ def test_tracer_records_every_hot_layer(tmp_path, workload, argv):
         spans.uninstall()
     metrics = tracer.layer_metrics(spans.spans, spans.cholesky, 0.0)
     assert tracer.hot_without_calls(metrics, workloads.WORKLOADS[workload].hot) == []
+    assert ("run_failed" in (tmp_path / "out.csv").read_text()) == fails
