@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import rng
-from .flow import Ensemble, _checked_grads, _checked_losses, _per_member
+from .flow import Ensemble, _checked_grads, _checked_losses, _each_member, _per_member
 
 
 def systematic_resample(weights: np.ndarray, offset: float) -> np.ndarray:
@@ -56,14 +56,15 @@ def mcl_step(ensemble: Ensemble, loss_model, epsilon, seed: int) -> Ensemble:
     moved = particles + np.sqrt(epsilons)[..., None, None] * gen.standard_normal(particles.shape[-2:])
     losses = _checked_losses(loss_model, t, moved)
     offset = float(gen.uniform())
-    resampled = np.empty_like(moved)
-    for i in np.ndindex(epsilons.shape):
+
+    def resample(i):
         weights = (1.0 / ensemble.n) * np.exp(-(losses[i] - losses[i].min()))
         total = weights.sum()
         assert total > 0.0, "degenerate weights: total underflowed despite min-shift"
         weights /= total
-        resampled[i] = moved[i][systematic_resample(weights, offset)]
-    return Ensemble(resampled, t + 1)
+        return moved[i][systematic_resample(weights, offset)]
+
+    return Ensemble(np.reshape(_each_member(resample, epsilons.shape), moved.shape), t + 1)
 
 
 def gradient_descent_step(ensemble: Ensemble, loss_model, eta) -> Ensemble:

@@ -37,7 +37,7 @@ def gronwall_bound(initial_distance: float, discrepancy: float, field_lipschitz:
     """
     for name, value in (("initial_distance", initial_distance), ("discrepancy", discrepancy),
                         ("elapsed", elapsed)):
-        if value < 0:
+        if not value >= 0:
             raise ValueError(f"{name} must be nonnegative")
     if not field_lipschitz > 0:
         raise ValueError("field_lipschitz must be positive")
@@ -58,11 +58,11 @@ def max_ratio(observed: np.ndarray, bounds: np.ndarray) -> float:
 
 
 def check_time_step(t_end: float, dt: float) -> None:
-    """Raise ValueError unless t_end > 0 and 0 < dt <= 1e-3 * t_end, the
-    Euler step whose error is negligible next to the bound's slack. A
+    """Raise ValueError unless 0 < t_end < inf and 0 < dt <= 1e-3 * t_end,
+    the Euler step whose error is negligible next to the bound's slack. A
     relative tolerance of 1e-7 lets dt = t_end / 1000 pass after rounding."""
-    if not (t_end > 0 and dt > 0):
-        raise ValueError("t_end and dt must be positive")
+    if not (0 < t_end < math.inf and dt > 0):
+        raise ValueError(f"t_end and dt must be positive and t_end finite, got t_end={t_end}, dt={dt}")
     if dt > 1.0000001e-3 * t_end:
         raise ValueError(f"dt must be at most 1e-3 * t_end, got dt={dt}, t_end={t_end}")
 
@@ -102,8 +102,8 @@ def perturbed_flow_check(
     a = np.asarray(field, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"field must be a square matrix, got shape {a.shape}")
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be {'finite' if eps > 0 else 'nonnegative'}, got {eps}")
     check_time_step(t_end, dt)
     d = a.shape[0]
     lipschitz = float(np.linalg.norm(a, 2))

@@ -7,6 +7,7 @@ default, however the config is built.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .bounds import check_time_step
@@ -106,10 +107,10 @@ class ExperimentConfig:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.pose_points < 3:
             raise ValueError(f"pose_points must be >= 3, got {self.pose_points}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
-        if self.eps < 0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be {'finite' if self.sigma > 0 else 'nonnegative'}, got {self.sigma}")
+        if not 0 <= self.eps < math.inf:
+            raise ValueError(f"eps must be {'finite' if self.eps > 0 else 'nonnegative'}, got {self.eps}")
         check_time_step(self.t_end, self.dt)
 
     def manifest_items(self) -> list[tuple[str, str]]:

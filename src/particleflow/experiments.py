@@ -285,11 +285,11 @@ def _kl_measure(problem, n_steps: int) -> Measure:
     step stacks into one stack of its own, and computes each of the four KL
     series in one `kl_gaussians` call against stacks of the reference
     posteriors, which are built once per problem, so their Cholesky
-    factors are shared by all of its runs. If a stacked call raises, every
-    step is measured again on its own, so only the steps whose KL fails
-    become kl_error rows, and every other step gets the bits its stacked
-    KL would have had. Each step's ridge and step cells are formatted
-    once, and each KL, a Python float, is its repr.
+    factors are shared by all of its runs. The four calls follow
+    `_drop_failing` over the run's steps: a step whose KL fails leaves the
+    stacks (a kl_error row), and the others get the bits their stacked KL
+    would have had. Each step's ridge and step cells are formatted once,
+    and each KL, a Python float, is its repr.
     """
     expected = GaussianSummary.stack([expected_posterior(problem.center, t) for t in range(n_steps + 1)])
     exact = GaussianSummary.stack([exact_posterior(problem, t) for t in range(n_steps + 1)])
@@ -300,30 +300,26 @@ def _kl_measure(problem, n_steps: int) -> Measure:
         places = {member: j for j, member in enumerate(fitted)}
         return [(fit, places[m]) if m in places else None for m in range(len(particles))]
 
-    def kls(fit: GaussianSummary, expected_t: GaussianSummary, exact_t: GaussianSummary) -> tuple:
-        """The KL_METRICS values of fit (one summary, or a stack) and the
-        matching references."""
-        return (kl_gaussians(fit, expected_t), kl_gaussians(expected_t, fit),
-                kl_gaussians(fit, exact_t), kl_gaussians(exact_t, fit))
-
     def emit(observed: list[tuple]) -> list[tuple]:
         fitted = [(step, fit) for step, fit in observed if fit is not None]
-        values = {}
+        steps = [step for step, _ in fitted]
         if fitted:
-            steps = [step for step, _ in fitted]
             fits = GaussianSummary(np.stack([fit.mean[j] for _, (fit, j) in fitted]),
                                    np.stack([fit.covariance[j] for _, (fit, j) in fitted]))
-            # a run fitted at every step reads the whole reference stacks and
-            # their cached factors; a partial run's sub-stacks factor themselves
-            references = (expected, exact) if len(steps) == n_steps + 1 else (expected[steps], exact[steps])
-            try:
-                values = dict(zip(steps, zip(*(series.tolist() for series in kls(fits, *references)))))
-            except ValueError:
-                for m, step in enumerate(steps):
-                    try:
-                        values[step] = kls(fits[m], expected[step], exact[step])
-                    except ValueError:
-                        values[step] = None
+
+        def kls(at: np.ndarray) -> tuple:
+            """The KL_METRICS series of the run's fits at positions at of steps:
+            with none dropped its own fits, and if fitted at every step the
+            whole reference stacks and their cached factors."""
+            fit = fits if len(at) == len(steps) else fits[at]
+            picked = [steps[m] for m in at]
+            expected_t, exact_t = (expected, exact) if len(picked) == n_steps + 1 else (expected[picked], exact[picked])
+            return (kl_gaussians(fit, expected_t), kl_gaussians(expected_t, fit),
+                    kl_gaussians(fit, exact_t), kl_gaussians(exact_t, fit))
+
+        kept = list(steps)  # less each step whose KL fails (a kl_error row)
+        _, kl, _ = _drop_failing(kls, np.arange(len(steps)), kept)
+        values = dict(zip(kept, zip(*(series.tolist() for series in kl or ()))))
         rows = []
         for step, observation in observed:
             if observation is None:
@@ -331,7 +327,7 @@ def _kl_measure(problem, n_steps: int) -> Measure:
                 continue
             fit, j = observation
             head = _cells(fit.ridge[j], step)
-            if values[step] is None:
+            if step not in values:
                 rows.append(head + ("kl", "", "kl_error"))
             else:
                 rows.extend(head + (name, repr(v), "ok") for name, v in zip(KL_METRICS, values[step]))

@@ -61,8 +61,8 @@ class Ensemble:
     the step functions advance together, each member getting the bits it
     would get alone. Indexing a stack gives its members (an int index) or a
     sub-stack (a list of indices); the empty index () gives the ensemble
-    itself, so a loop over np.ndindex(ensemble.particles.shape[:-2]) treats
-    a single ensemble as a one-member stack. Construction raises ValueError
+    itself, so `_each_member` over ensemble.particles.shape[:-2] treats a
+    single ensemble as a one-member stack. Construction raises ValueError
     naming the first non-finite coordinate (after its member, in a stack).
 
     Particle order only matters for reproducibility of floating-point
@@ -118,6 +118,20 @@ def _require(ok: np.ndarray, describe, item_axes: int = 0) -> None:
     if not ok.all():
         at = tuple(np.argwhere(~ok)[0].tolist())
         raise MemberError(at[0], describe(at)) if ok.ndim > item_axes else ValueError(describe(at))
+
+
+def _each_member(call, shape: tuple) -> list:
+    """[call(i) for i in np.ndindex(shape)], the one loop over the members of
+    a stack of shape (k,) or a single run of shape () (i is then ()). The
+    first ValueError of a call ends it: a stack raises a `MemberError` naming
+    member i[0] with the call's message, a single run the error itself."""
+    results = []
+    for i in np.ndindex(shape):
+        try:
+            results.append(call(i))
+        except ValueError as exc:
+            raise (MemberError(i[0], str(exc)) if i else exc) from None
+    return results
 
 
 def _per_member(value, ensemble: Ensemble, name: str) -> np.ndarray:
@@ -306,17 +320,13 @@ def step(ensemble: Ensemble, loss_model, gamma: float, eta) -> Ensemble:
     fresh particle array, so the result is independent of any per-particle
     update order. A stack takes one eta for all members or one per member.
     Its losses and gradients are evaluated once for the whole stack (see
-    `evaluate_losses`), and `flow_update` runs per member, so each member
-    gets the bits it would get stepped alone. Its etas are checked first;
-    a failing member fails the step with a `MemberError` naming it.
+    `evaluate_losses`), and `flow_update` runs per member (`_each_member`),
+    so each member gets the bits it would get stepped alone. Its etas are
+    checked first; a failing member fails the step with a `MemberError`.
     """
     etas = _per_member(eta, ensemble, "eta")
     normalized_losses, grads = evaluate_losses(loss_model, ensemble)
     x = ensemble.particles
-    displacements = np.empty_like(x)
-    for i in np.ndindex(etas.shape):
-        try:
-            displacements[i] = flow_update(ensemble[i], normalized_losses[i], grads[i], gamma, float(etas[i]))
-        except ValueError as exc:
-            raise (MemberError(i[0], str(exc)) if i else exc) from None
-    return Ensemble(x + displacements, ensemble.step_index + 1)
+    displacements = _each_member(
+        lambda i: flow_update(ensemble[i], normalized_losses[i], grads[i], gamma, float(etas[i])), etas.shape)
+    return Ensemble(x + np.reshape(displacements, x.shape), ensemble.step_index + 1)

@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .flow import MemberError, _require
+from .flow import _each_member, _require
 from .pose import PoseState
 
 
@@ -140,11 +140,7 @@ def _factor(g: GaussianSummary, name: str) -> tuple[np.ndarray, float | np.ndarr
     except np.linalg.LinAlgError:
         pass
     if g.mean.ndim == 2:
-        for i in range(g.mean.shape[0]):
-            try:
-                _factor(g[i], name)
-            except ValueError as exc:
-                raise MemberError(i, str(exc)) from None
+        _each_member(lambda i: _factor(g[i], name), g.mean.shape[:1])
     eigs = np.linalg.eigvalsh(g.covariance)
     raise ValueError(
         f"{name} covariance is not positive definite "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .flow import MemberError
+from .flow import _each_member
 
 
 @dataclass(frozen=True)
@@ -75,19 +75,14 @@ def mean_pose(particles: np.ndarray) -> PoseState | list[PoseState]:
     A stack takes one mean over all its members, and each member's pose
     has the bits of a call on that member alone. A mean that cannot be
     read out (not finite, or a rotation-vector norm that overflows) raises
-    ValueError; for a stack it is a `MemberError` naming the first such
-    member j, whose reason is the message j gives alone.
+    ValueError; for a stack, the `MemberError` of `flow._each_member` names
+    the first such member j, whose reason is the message j gives alone.
     """
     x = np.asarray(particles, dtype=np.float64)
-    if x.ndim != 3:
-        return pose_unpack(x.mean(axis=0))
-    poses = []
-    for j, mean in enumerate(x.mean(axis=-2)):
-        try:
-            poses.append(pose_unpack(mean))
-        except ValueError as exc:
-            raise MemberError(j, str(exc)) from None
-    return poses
+    stacked = x.ndim == 3
+    means = x.mean(axis=-2)
+    poses = _each_member(lambda i: pose_unpack(means[i]), x.shape[:1] if stacked else ())
+    return poses if stacked else poses[0]
 
 
 def rotation_matrices(w: np.ndarray) -> np.ndarray:
@@ -220,8 +215,8 @@ class PoseRegistrationLoss:
             raise ValueError("model and observed points must be matching (K, 3) arrays")
         if m.shape[0] < 3:
             raise ValueError(f"need at least 3 point correspondences, got {m.shape[0]}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be {'finite' if self.sigma > 0 else 'nonnegative'}, got {self.sigma}")
         object.__setattr__(self, "model_points", m)
         object.__setattr__(self, "observed_points", o)
 

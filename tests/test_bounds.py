@@ -44,6 +44,11 @@ def test_bound_params_validation():
         bound(t=-1.0)
     with pytest.raises(ValueError, match="field_lipschitz must be positive"):
         bound(lf=0.0)
+    # NaN passes a `value < 0` check
+    for name, nan in (("initial_distance", {"w0": math.nan}), ("discrepancy", {"eps": math.nan}),
+                      ("elapsed", {"t": math.nan}), ("field_lipschitz", {"lf": math.nan})):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            bound(**nan)
 
 
 @settings(max_examples=40, deadline=None)
@@ -104,6 +109,18 @@ def test_aligned_perturbation_tracks_bound_tightly():
 def test_dt_precondition_enforced():
     with pytest.raises(ValueError, match="dt"):
         perturbed_flow_check(4, np.eye(3), eps=0.1, t_end=1.0, dt=0.01, seed=0)
+
+
+@pytest.mark.parametrize("eps, t_end, message", [
+    (math.nan, 1.0, "^eps must be nonnegative, got nan$"),
+    (math.inf, 1.0, "^eps must be finite, got inf$"),
+    (-0.1, 1.0, "^eps must be nonnegative, got -0.1$"),
+    (0.1, math.inf, "^t_end and dt must be positive and t_end finite, got t_end=inf, dt=0.001$"),
+    (0.1, math.nan, "^t_end and dt must be positive and t_end finite, got t_end=nan, dt=0.001$"),
+])
+def test_check_rejects_non_finite_settings_before_integrating(eps, t_end, message):
+    with pytest.raises(ValueError, match=message):
+        perturbed_flow_check(4, np.eye(3), eps=eps, t_end=t_end, dt=1e-3, seed=0)
 
 
 def test_check_is_deterministic():

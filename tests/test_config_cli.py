@@ -351,6 +351,13 @@ def test_cli_rejects_empty_and_repeated_list_values(tmp_path, flag, value, messa
     (["theorem", "--t-end", "2", "--dt", "0.0021"], "dt must be at most 1e-3 * t_end, got dt=0.0021, t_end=2.0"),
     (["theorem", "--dims", "0"], "theorem dims must all be >= 1, got (0,)"),
     (["pose", "--sigma", "-0.1"], "sigma must be nonnegative, got -0.1"),
+    # non-finite values: a NaN eps passed every bound check, the others
+    # stopped or failed every run with a message about something else
+    (["theorem", "--eps", "nan", "--seeds", "0"], "eps must be nonnegative, got nan"),
+    (["theorem", "--eps", "inf"], "eps must be finite, got inf"),
+    (["theorem", "--t-end", "inf"], "t_end and dt must be positive and t_end finite, got t_end=inf, dt=0.001"),
+    (["pose", "--sigma", "nan"], "sigma must be nonnegative, got nan"),
+    (["pose", "--sigma", "inf"], "sigma must be finite, got inf"),
 ])
 def test_cli_rejects_out_of_range_values(tmp_path, argv, message):
     with pytest.raises(SystemExit) as exc_info:

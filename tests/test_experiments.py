@@ -277,6 +277,22 @@ def test_a_failing_fit_drops_its_member_from_the_stacked_fit(monkeypatch):
     assert len(fits) == observed + fit_errors
 
 
+def test_a_failing_kl_drops_its_step_from_the_runs_stacked_kls(monkeypatch):
+    # the two kl_error steps leave their run's four stacked KL series, which
+    # are made again on the other steps; no step is measured on its own
+    shapes = []
+    kl = experiments.kl_gaussians
+
+    def recorded(p, q):
+        shapes.append((p.mean.ndim, q.mean.ndim))
+        return kl(p, q)
+
+    monkeypatch.setattr(experiments, "kl_gaussians", recorded)
+    rows, _ = run_synthetic(SYNTHETIC_FAILURE)
+    assert sum(row[-1] == "kl_error" for row in rows) == 2
+    assert shapes == [(2, 2)] * 746
+
+
 def test_sweeps_with_failing_runs_leave_no_reference_cycles():
     pose = make_config("pose", overrides={
         "n_particles": (20,), "n_steps": 30, "seeds": (0,), "methods": ("flow",),

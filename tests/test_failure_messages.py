@@ -7,13 +7,16 @@ single message must equal `message`. The stacked error must be a
 `MemberError` of member m whose reason is `message`, so its message is
 "stack member m: " followed by it.
 """
+import ast
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import particleflow
 from particleflow.baselines import gradient_descent_step, mcl_step
-from particleflow.flow import Ensemble, MemberError, evaluate_losses, step
+from particleflow.flow import Ensemble, MemberError, _each_member, evaluate_losses, step
 from particleflow.metrics import GaussianSummary, kl_gaussians
 
 # four particles in d=3, all within 0.2 of each other
@@ -171,3 +174,51 @@ def test_failure_message_single_and_stacked(case, monkeypatch):
     assert str(exc) == f"stack member {member}: {message}"
     copy = pickle.loads(pickle.dumps(exc))
     assert (copy.member, copy.reason, str(copy)) == (member, message, str(exc))
+
+
+def test_each_member_calls_members_in_order_and_names_the_first_that_fails():
+    called = []
+
+    def call(i):
+        called.append(i)
+        if i and i[0] >= 2:
+            raise ValueError(f"member {i[0]} fails alone")
+        return 10 * len(called)
+
+    assert _each_member(call, (2,)) == [10, 20] and called == [(0,), (1,)]
+    assert _each_member(call, ()) == [30]
+    called.clear()
+    with pytest.raises(MemberError) as stacked:
+        _each_member(call, (5,))
+    assert (stacked.value.member, stacked.value.reason) == (2, "member 2 fails alone")
+    assert called == [(0,), (1,), (2,)]  # no member after the failing one
+    own = ValueError("a single run's own message")
+
+    def fail(i):
+        raise own
+
+    with pytest.raises(ValueError) as single:
+        _each_member(fail, ())
+    assert single.value is own
+
+
+def test_one_member_loop_builds_every_member_error():
+    # MemberError is built by the failure check and the member loop only, the
+    # member loop is the package's one np.ndindex, and the KL read-out
+    # recovers through experiments._drop_failing, with no try of its own
+    found = {"MemberError": set(), "ndindex": set(), "try": set()}
+    for path in sorted(Path(particleflow.__file__).parent.glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        for top in module.body:
+            for func in top.body if isinstance(top, ast.ClassDef) else [top]:
+                name = f"{path.stem}.{getattr(func, 'name', '')}"
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "MemberError":
+                        found["MemberError"].add(name)
+                    elif isinstance(node, ast.Attribute) and node.attr == "ndindex":
+                        found["ndindex"].add(name)
+                    elif isinstance(node, ast.Try):
+                        found["try"].add(name)
+    assert found["MemberError"] == {"flow._require", "flow._each_member"}
+    assert found["ndindex"] == {"flow._each_member"}
+    assert "experiments._kl_measure" not in found["try"] and "experiments._drop_failing" in found["try"]

@@ -228,6 +228,13 @@ def test_problem_rejects_a_negative_sigma_through_its_loss():
         make_pose_problem(5, sigma=-0.1, seed=0)
 
 
+@pytest.mark.parametrize("sigma, message", [(math.nan, "^sigma must be nonnegative, got nan$"),
+                                            (math.inf, "^sigma must be finite, got inf$")])
+def test_problem_rejects_a_non_finite_sigma_through_its_loss(sigma, message):
+    with pytest.raises(ValueError, match=message):
+        make_pose_problem(5, sigma=sigma, seed=0)
+
+
 def test_loss_at_truth_equals_noise_residual_only():
     sigma = 0.02
     problem = make_pose_problem(10, sigma=sigma, seed=6)

@@ -5,10 +5,10 @@ module attributes through which the experiments call them. A step function bound
 a module-level dict) escapes the wrapper and records no calls, and a
 `flow_update` whose first argument has no `.particles` breaks the tracer's
 pair count. Both would stop the benchmark's traced run; this test runs the
-same check on tiny CLI calls, one of them a pose sweep whose diverging grid
-edges fail, so that the boundaries are also checked where a stacked call
-drops a failing run. The perfbench modules are loaded from their files and
-not modified.
+same check on tiny CLI calls, among them a pose and a synthetic sweep whose
+diverging grid edges fail, so that the boundaries are also checked where a
+stacked call drops a failing run or a failing KL step. The perfbench
+modules are loaded from their files and not modified.
 """
 import importlib.util
 import sys
@@ -41,6 +41,10 @@ TINY = ["--n-particles", "6", "--n-steps", "2", "--seeds", "0",
     ("pose_registration", ["pose"] + TINY, False),
     ("pose_registration", ["pose", "--n-particles", "20", "--n-steps", "30", "--seeds", "0",
                            "--grid-orders", "24", "--grid-points-per-order", "1"], True),
+    # fit_error, kl_error and run_failed rows: the KL read-out drops failing
+    # steps; mcl stays in, since baselines.mcl_step is a hot layer here
+    ("synthetic_sweep", ["synthetic", "--dims", "4", "--n-particles", "12", "--n-steps", "20", "--seeds", "1",
+                         "--method", "flow,mcl,gd", "--grid-orders", "30", "--grid-points-per-order", "1"], True),
 ])
 def test_tracer_records_every_hot_layer(tmp_path, workload, argv, fails):
     spans = tracer.Tracer()
