@@ -8,8 +8,8 @@ the assignment-form Wasserstein distance obeys
     W(t) <= (W(0) + eps / L_F) * exp(L_d * L_F * t) - eps / L_F.
 
 The distance is Euclidean, so L_d = 1 throughout. `perturbed_flow_check`
-integrates both sets with Euler steps and compares the measured distance
-against the bound at many checkpoints.
+integrates both sets with Euler steps and compares their index-matched
+distance (`_matched_distance`) against the bound at many checkpoints.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .metrics import wasserstein_exact
 
 # `perturbed_flow_check` records a checkpoint every steps // N_CHECKPOINTS
 # Euler steps, and at the last step.
@@ -42,7 +41,10 @@ def gronwall_bound(initial_distance: float, discrepancy: float, field_lipschitz:
     if not field_lipschitz > 0:
         raise ValueError("field_lipschitz must be positive")
     ratio = discrepancy / field_lipschitz
-    growth = math.exp(field_lipschitz * elapsed)
+    try:
+        growth = math.exp(field_lipschitz * elapsed)
+    except OverflowError:
+        raise ValueError(f"exp(L_F * t) overflows at L_F * t = {field_lipschitz * elapsed:g}") from None
     return (initial_distance + ratio) * growth - ratio
 
 
@@ -65,6 +67,16 @@ def check_time_step(t_end: float, dt: float) -> None:
         raise ValueError(f"t_end and dt must be positive and t_end finite, got t_end={t_end}, dt={dt}")
     if dt > 1.0000001e-3 * t_end:
         raise ValueError(f"dt must be at most 1e-3 * t_end, got dt={dt}, t_end={t_end}")
+
+
+def _matched_distance(x: np.ndarray, z: np.ndarray) -> float:
+    """sum_i |x_i - z_i|, the optimal assignment when every z_i - x_i is one e:
+    sum_i |x_i - z_pi(i)| >= |sum x - sum z| = N |e|. Squares add column by column,
+    as in scipy's `cdist`, so it has the bits of `metrics.wasserstein_exact`'s cost."""
+    squares = np.zeros(len(x))
+    for column in (x - z).T:
+        squares += column * column
+    return float(np.sqrt(squares).sum())
 
 
 @dataclass(frozen=True)
@@ -97,7 +109,7 @@ def perturbed_flow_check(
     constant detectable). The bound uses the spectral norm of the field
     matrix as its Lipschitz constant, which must be positive.
 
-    Requires dt <= 1e-3 * t_end (`check_time_step`).
+    Requires dt <= 1e-3 * t_end (`check_time_step`); overflow raises ValueError.
     """
     a = np.asarray(field, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -119,7 +131,7 @@ def perturbed_flow_check(
     else:
         deltas = np.zeros((n_points, d))
 
-    w0 = wasserstein_exact(x, z).total_cost
+    w0 = _matched_distance(x, z)
     steps = int(round(t_end / dt))
     every = max(1, steps // N_CHECKPOINTS)
     times, observed, bounds = [], [], []
@@ -130,7 +142,10 @@ def perturbed_flow_check(
         if k % every == 0 or k == steps:
             t = k * dt
             times.append(t)
-            observed.append(wasserstein_exact(x, z).total_cost)
+            with np.errstate(over="ignore"):  # a distance that overflows is named below
+                observed.append(_matched_distance(x, z))
+            if not math.isfinite(observed[-1]):
+                raise ValueError(f"matched distance is not finite ({observed[-1]}) at checkpoint time t={t:g}")
             bounds.append(gronwall_bound(w0, eps, lipschitz, t))
     times_arr = np.asarray(times)
     observed_arr = np.asarray(observed)

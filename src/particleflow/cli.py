@@ -75,10 +75,10 @@ def main(argv=None) -> int:
         # resolve every (method, d) grid once, up front: one that no run can
         # use is a configuration error; the manifest records them all
         grids = experiments.grid_items(config)
+        start = time.perf_counter()
+        rows, failures = experiments.RUNNERS[args.command](config)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    start = time.perf_counter()
-    rows, failures = experiments.RUNNERS[args.command](config)
     elapsed = time.perf_counter() - start
     experiments.write_csv(config.out, rows)
     manifest_path = config.out + ".manifest.txt"

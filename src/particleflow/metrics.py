@@ -203,8 +203,8 @@ def wasserstein_exact(a: np.ndarray, b: np.ndarray) -> AssignmentResult:
         raise ValueError(
             f"point sets must have equal size, got {xa.shape[0]} and {xb.shape[0]}"
         )
-    # imported here: only the theorem protocol needs them, and at module level
-    # scipy.optimize would load at the start-up of every CLI call
+    # imported here: no protocol calls this (the tests use it as an oracle), and
+    # at module level scipy.optimize would load at the start-up of every CLI call
     from scipy.optimize import linear_sum_assignment
     from scipy.spatial.distance import cdist
 

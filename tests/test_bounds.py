@@ -1,3 +1,4 @@
+import ast
 import math
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from particleflow.bounds import (
 )
 from particleflow.config import make_config, parse_config_file
 from particleflow.experiments import theorem_field
+from particleflow.metrics import wasserstein_exact
 
 
 def bound(w0=0.0, eps=0.0, lf=1.0, t=0.0):
@@ -44,6 +46,9 @@ def test_bound_params_validation():
         bound(t=-1.0)
     with pytest.raises(ValueError, match="field_lipschitz must be positive"):
         bound(lf=0.0)
+    # a ValueError, which the CLI turns into a one-line exit, not math.exp's OverflowError
+    with pytest.raises(ValueError, match=r"^exp\(L_F \* t\) overflows at L_F \* t = 720$"):
+        bound(lf=2.0, t=360.0)
     # NaN passes a `value < 0` check
     for name, nan in (("initial_distance", {"w0": math.nan}), ("discrepancy", {"eps": math.nan}),
                       ("elapsed", {"t": math.nan}), ("field_lipschitz", {"lf": math.nan})):
@@ -131,26 +136,63 @@ def test_check_is_deterministic():
     assert np.array_equal(a.bounds, b.bounds)
 
 
-def test_theorem_protocol_assignments_are_the_identity(monkeypatch):
+def _matched_distances(monkeypatch, runs):
+    """(x, z, value) of every `bounds._matched_distance` call the checks
+    make, one check per (n, d, eps, t_end, dt, seed) of `runs`."""
+    measure = bounds._matched_distance
+    calls = []
+
+    def recorded(x, z):
+        value = measure(x, z)
+        calls.append((x, z, value))
+        return value
+
+    monkeypatch.setattr(bounds, "_matched_distance", recorded)
+    for n, d, eps, t_end, dt, seed in runs:
+        perturbed_flow_check(n, theorem_field(d, seed), eps, t_end, dt, seed)
+    return calls
+
+
+def _assert_the_solver_agrees(calls):
     # every particle gets the same offset, so z_i - x_i is one shared vector
     # e(t) up to rounding, and by the triangle inequality no permutation
-    # beats N |e(t)|: the solver confirms the index matching at every
-    # checkpoint of the theorem protocol's acceptance configuration
+    # beats the index matching: the solver, the oracle, must return the
+    # identity at the matched distance's cost, bit for bit
+    for x, z, value in calls:
+        result = wasserstein_exact(x, z)
+        assert np.array_equal(result.permutation, np.arange(len(x)))
+        assert result.total_cost == value
+
+
+def test_theorem_protocol_assignments_are_the_identity(monkeypatch):
     path = Path(__file__).resolve().parent.parent / "configs" / "theorem.cfg"
     cfg = make_config("theorem", parse_config_file(str(path), "theorem"))
     (d,), (n,) = cfg.dims, cfg.n_particles
-    solve = bounds.wasserstein_exact
-    solved = []
+    calls = _matched_distances(monkeypatch, [(n, d, cfg.eps, cfg.t_end, cfg.dt, seed) for seed in cfg.seeds])
+    assert len(calls) == len(cfg.seeds) * (1 + bounds.N_CHECKPOINTS) == 505
+    _assert_the_solver_agrees(calls)
 
-    def recorded(a, b):
-        result = solve(a, b)
-        solved.append((result, np.linalg.norm(a - b, axis=1).sum()))
-        return result
 
-    monkeypatch.setattr(bounds, "wasserstein_exact", recorded)
-    for seed in cfg.seeds:
-        perturbed_flow_check(n, theorem_field(d, seed), cfg.eps, cfg.t_end, cfg.dt, seed)
-    assert len(solved) == len(cfg.seeds) * (1 + bounds.N_CHECKPOINTS)
-    for result, matched in solved:
-        assert np.array_equal(result.permutation, np.arange(n))
-        assert result.total_cost == matched
+@pytest.mark.parametrize("n, d, eps", [
+    (32, 10, 0.1),
+    (64, 50, 0.1),
+    # an offset near the particles' rounding, and one far above their spread
+    (32, 3, 1e-12),
+    (32, 3, 1e4),
+])
+def test_off_protocol_assignments_are_the_identity(monkeypatch, n, d, eps):
+    calls = _matched_distances(monkeypatch, [(n, d, eps, 1.0, 1e-3, 7)])
+    assert len(calls) == 1 + bounds.N_CHECKPOINTS
+    _assert_the_solver_agrees(calls)
+
+
+def test_bounds_imports_nothing_from_metrics():
+    # the check needs no assignment solver, so no protocol loads scipy
+    tree = ast.parse(Path(bounds.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not {name for name in imported if name and "metrics" in name}

@@ -358,6 +358,11 @@ def test_cli_rejects_empty_and_repeated_list_values(tmp_path, flag, value, messa
     (["theorem", "--t-end", "inf"], "t_end and dt must be positive and t_end finite, got t_end=inf, dt=0.001"),
     (["pose", "--sigma", "nan"], "sigma must be nonnegative, got nan"),
     (["pose", "--sigma", "inf"], "sigma must be finite, got inf"),
+    # long horizons: the squared distances overflow, or exp(L_F * t) does
+    (["theorem", "--t-end", "1000", "--dt", "1", "--seeds", "0"],
+     "matched distance is not finite (inf) at checkpoint time t=530"),
+    (["theorem", "--eps", "0", "--t-end", "1000", "--dt", "1", "--seeds", "0"],
+     "exp(L_F * t) overflows at L_F * t = 710"),
 ])
 def test_cli_rejects_out_of_range_values(tmp_path, argv, message):
     with pytest.raises(SystemExit) as exc_info:
@@ -422,13 +427,14 @@ def test_cli_gradient_coefficient_overflow_fails_flow_runs(tmp_path):
                              "(gamma=1e-100, dim=10)") for line in reasons)
 
 
-def test_start_up_and_synthetic_protocol_load_no_scipy(tmp_path):
+def test_start_up_and_every_protocol_load_no_scipy(tmp_path):
     # scipy.linalg alone takes about 260 ms of start-up, scipy.spatial's
-    # Rotation about 400 ms in the pose protocol; only the theorem protocol
-    # imports scipy, where it runs. The third call is a gd run whose stacked
-    # KL overflows at step 17, so every step's KL is computed again on its
-    # own. A subprocess, since the test oracles import scipy into this
-    # interpreter.
+    # Rotation about 400 ms in the pose protocol, and scipy.optimize's
+    # assignment solver about 300 ms in the theorem protocol; no protocol
+    # imports scipy. The third call is a gd run whose stacked KL overflows
+    # at step 17, so `_drop_failing` ends that member's KL series there and
+    # the step becomes a kl_error row. A subprocess, since the test oracles
+    # import scipy into this interpreter.
     code = textwrap.dedent(f"""
         import sys
         import particleflow.cli
@@ -452,14 +458,17 @@ def test_start_up_and_synthetic_protocol_load_no_scipy(tmp_path):
                                "--grid-points-per-order", "1", "--seeds", "1",
                                "--out", {str(tmp_path / "fallback.csv")!r}])
         print(scipy_modules())
+        particleflow.cli.main(["theorem", "--seeds", "0", "--out", {str(tmp_path / "theorem.csv")!r}])
+        print(scipy_modules())
     """)
     src = str(Path(particleflow.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    lines = [line for line in proc.stdout.splitlines() if not line.startswith("wrote ")]
-    assert lines == ["[]"] * 4, "loaded by import particleflow.cli, a synthetic or pose call, or the KL fallback"
+    lines = [line for line in proc.stdout.splitlines() if not line.startswith(("wrote ", "bound check: "))]
+    assert lines == ["[]"] * 5, ("loaded by import particleflow.cli, a synthetic or pose call, "
+                                 "the KL series' recovery or a theorem call")
     assert (tmp_path / "fallback.csv").read_text().count(",kl_error\n") == 1
-    for name in ("synthetic", "pose", "fallback"):
+    for name in ("synthetic", "pose", "fallback", "theorem"):
         manifest = (tmp_path / f"{name}.csv.manifest.txt").read_text().splitlines()
         header = dict(line[2:].split("=", 1) for line in manifest if line.startswith("# "))
         assert header["scipy"] == "not loaded"
