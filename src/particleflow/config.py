@@ -109,8 +109,10 @@ class ExperimentConfig:
             raise ValueError(f"pose_points must be >= 3, got {self.pose_points}")
         if not 0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be {'finite' if self.sigma > 0 else 'nonnegative'}, got {self.sigma}")
-        if not 0 <= self.eps < math.inf:
-            raise ValueError(f"eps must be {'finite' if self.eps > 0 else 'nonnegative'}, got {self.eps}")
+        # with eps = 0 the two theorem sets stay identical, so the negative
+        # control can never break
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be {'finite' if self.eps > 0 else 'positive'}, got {self.eps}")
         check_time_step(self.t_end, self.dt)
 
     def manifest_items(self) -> list[tuple[str, str]]:

@@ -6,6 +6,12 @@ a `(k, n, d)` stack of ensembles and returning matching scalar/`(n,)`/
 `(k, n)` and `x`-shaped results. Each stack member's results have the bits
 of a call on that member alone, so a stack of runs needs one call per step.
 Repeated calls with the same arguments return identical values.
+
+`flow.evaluate_losses` calls `loss` and then `grad` on the same
+`Ensemble.particles`. `pose.PoseRegistrationLoss` hands the rotations and
+residuals its `loss` built on such a read-only array to that `grad` call
+instead of building them again; every other input builds its own. No
+result, and no bit of one, depends on whether they were reused.
 """
 from __future__ import annotations
 

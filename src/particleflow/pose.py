@@ -94,8 +94,19 @@ def rotation_matrices(w: np.ndarray) -> np.ndarray:
     and their order are those of scipy's Rotation.from_rotvec(w).as_matrix(),
     whose output this reproduces bit for bit.
     """
+    return _rotation_matrices(w, _rotation_angles(w))
+
+
+def _rotation_angles(w: np.ndarray) -> np.ndarray:
+    """Angles |w| of a batch of rotation vectors, (n, 3) -> (n,), as
+    sqrt(x*x + y*y + z*z): the bits of np.linalg.norm(w, axis=1)."""
     x, y, z = w[:, 0], w[:, 1], w[:, 2]
-    angle = np.sqrt(x * x + y * y + z * z)
+    return np.sqrt(x * x + y * y + z * z)
+
+
+def _rotation_matrices(w: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """rotation_matrices(w), given the angles _rotation_angles(w)."""
+    x, y, z = w[:, 0], w[:, 1], w[:, 2]
     half = 0.5 * angle
     small = angle <= 1e-3
     scale = np.sin(half) / np.where(small, 1.0, angle)
@@ -159,15 +170,14 @@ _SKEW_SIGN = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
 _EYE = np.eye(3)
 
 
-def _right_jacobian(w: np.ndarray) -> np.ndarray:
-    """Right Jacobian of the rotation-vector exponential map, batched.
+def _right_jacobian(w: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Right Jacobian of the rotation-vector exponential map, batched, given
+    the angles theta = _rotation_angles(w).
 
     J(w) = I - (1 - cos t)/t^2 [w]x + (t - sin t)/t^3 [w]x^2 with t = |w|;
     series coefficients are used below t = 1e-4 to avoid cancellation.
     """
     n = w.shape[0]
-    x, y, z = w[:, 0], w[:, 1], w[:, 2]
-    theta = np.sqrt(x * x + y * y + z * z)  # the bits of np.linalg.norm(w, axis=1)
     t2 = theta * theta
     small = theta < 1e-4
     safe_theta = np.where(small, 1.0, theta)
@@ -201,6 +211,17 @@ class PoseRegistrationLoss:
     only; it never enters loss or gradient. loss and grad flatten a stack's
     poses into one batch, whose GEMMs give each pose the bits it gets in a
     batch of its own.
+
+    Both build the same angles, rotations and residuals, so a loss call
+    hands them to the next grad call on the same array object, which uses
+    them once. Only a read-only array that owns its data takes part, such as
+    Ensemble.particles, so every flow step builds them once. Any other input
+    (writeable, a view, another object) builds its own, as does an array
+    that is writeable again when grad is called. An array written in
+    between (while writeable again, or through a view taken before it was
+    made read-only) and read-only again is outside this rule. Results, and
+    their bits, are the same either way; pickles and copies carry only the
+    four fields.
     """
 
     model_points: np.ndarray  # (K, 3)
@@ -228,20 +249,31 @@ class PoseRegistrationLoss:
     def _scale(self) -> float:
         return 1.0 / noise_variance(self.sigma)
 
-    def _residuals(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rotation matrices (n, 3, 3) and residuals resid[n, i, k] of
-        R(w_n) m_k + T_n - o_k, coordinate-major so that every reduction
-        runs along the K points."""
+    def __getstate__(self) -> dict:
+        # the hand-off between loss and grad is scratch, not state: a pickle
+        # or copy holds the four fields only
+        return {key: value for key, value in self.__dict__.items() if key != "_handoff"}
+
+    def _residuals(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Angles |w_n| (n,), rotation matrices (n, 3, 3) and residuals
+        resid[n, i, k] of R(w_n) m_k + T_n - o_k, coordinate-major so that
+        every reduction runs along the K points."""
         n = x.shape[0]
-        rot = rotation_matrices(x[:, 3:])
+        angle = _rotation_angles(x[:, 3:])
+        rot = _rotation_matrices(x[:, 3:], angle)
         resid = (rot.reshape(3 * n, 3) @ self.model_points.T).reshape(n, 3, -1)  # one GEMM
         resid += x[:, :3, None]  # in place: no second and third (n, 3, K) temporary
         resid -= self.observed_points.T
-        return rot, resid
+        return angle, rot, resid
 
     def loss(self, step_index: int, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        _, resid = self._residuals(x.reshape(-1, 6))
+        terms = self._residuals(x.reshape(-1, 6))
+        if x.flags.owndata and not x.flags.writeable:
+            # flow.evaluate_losses asks for the gradient of the same
+            # Ensemble.particles next: hand it these terms
+            self.__dict__["_handoff"] = (x, terms)
+        resid = terms[2]
         values = 0.5 * self._scale * np.einsum("nik,nik->n", resid, resid)
         return values.reshape(x.shape[:-1])[()]
 
@@ -249,7 +281,11 @@ class PoseRegistrationLoss:
         x = np.asarray(x, dtype=np.float64)
         flat = x.reshape(-1, 6)
         n = flat.shape[0]
-        rot, resid = self._residuals(flat)
+        handoff = self.__dict__.pop("_handoff", None)
+        if handoff is not None and handoff[0] is x and not x.flags.writeable:
+            angle, rot, resid = handoff[1]
+        else:
+            angle, rot, resid = self._residuals(flat)
         grad_t = self._scale * resid.sum(axis=2)
         # torque = sum_k m_k x (R^T r_k) has components eps_abc M_bc with
         # M = (sum_k m_k r_k^T) R: one GEMM over the K points, one 3x3
@@ -259,7 +295,7 @@ class PoseRegistrationLoss:
         torque = mixed[:, [1, 2, 0], [2, 0, 1]] - mixed[:, [2, 0, 1], [1, 2, 0]]
         # J^T torque with J in matrix form: expanding it into nested cross
         # products overflows for huge rotation vectors where this stays finite
-        jac = _right_jacobian(flat[:, 3:])
+        jac = _right_jacobian(flat[:, 3:], angle)
         grad_w = self._scale * np.matmul(torque[:, None, :], jac)[:, 0]
         return np.concatenate([grad_t, grad_w], axis=1).reshape(x.shape)
 

@@ -351,9 +351,13 @@ def test_cli_rejects_empty_and_repeated_list_values(tmp_path, flag, value, messa
     (["theorem", "--t-end", "2", "--dt", "0.0021"], "dt must be at most 1e-3 * t_end, got dt=0.0021, t_end=2.0"),
     (["theorem", "--dims", "0"], "theorem dims must all be >= 1, got (0,)"),
     (["pose", "--sigma", "-0.1"], "sigma must be nonnegative, got -0.1"),
+    # with no perturbation the negative control can never break, yet the
+    # CLI used to exit 0
+    (["theorem", "--eps", "0"], "eps must be positive, got 0.0"),
+    (["theorem", "--eps", "-0.1"], "eps must be positive, got -0.1"),
     # non-finite values: a NaN eps passed every bound check, the others
     # stopped or failed every run with a message about something else
-    (["theorem", "--eps", "nan", "--seeds", "0"], "eps must be nonnegative, got nan"),
+    (["theorem", "--eps", "nan", "--seeds", "0"], "eps must be positive, got nan"),
     (["theorem", "--eps", "inf"], "eps must be finite, got inf"),
     (["theorem", "--t-end", "inf"], "t_end and dt must be positive and t_end finite, got t_end=inf, dt=0.001"),
     (["pose", "--sigma", "nan"], "sigma must be nonnegative, got nan"),
@@ -361,7 +365,7 @@ def test_cli_rejects_empty_and_repeated_list_values(tmp_path, flag, value, messa
     # long horizons: the squared distances overflow, or exp(L_F * t) does
     (["theorem", "--t-end", "1000", "--dt", "1", "--seeds", "0"],
      "matched distance is not finite (inf) at checkpoint time t=530"),
-    (["theorem", "--eps", "0", "--t-end", "1000", "--dt", "1", "--seeds", "0"],
+    (["theorem", "--eps", "1e-100", "--t-end", "1000", "--dt", "1", "--seeds", "0"],
      "exp(L_F * t) overflows at L_F * t = 710"),
 ])
 def test_cli_rejects_out_of_range_values(tmp_path, argv, message):

@@ -1,15 +1,19 @@
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from particleflow.flow import MemberError
+from particleflow.flow import Ensemble, MemberError, evaluate_losses
 from particleflow.pose import (
     PoseState,
     _quaternion_rotation_vectors,
     _right_jacobian,
+    _rotation_angles,
     canonicalize_rotation_vector,
     make_pose_problem,
     mean_pose,
@@ -163,14 +167,14 @@ def test_right_jacobian_matches_the_where_form_bit_for_bit(n):
     gen = np.random.default_rng(n + 100)
     for lo, hi in [(-9, -5), (-5, -3), (-3, 0), (0, 2), (2, 100)]:
         w = _directions(gen, n) * 10.0 ** gen.uniform(lo, hi, (n, 1))
-        assert np.array_equal(_right_jacobian(w), right_jacobian(w))
+        assert np.array_equal(_right_jacobian(w, _rotation_angles(w)), right_jacobian(w))
         # the same batch with one row below the series threshold 1e-4
         w[0] *= 1e-8
-        assert np.array_equal(_right_jacobian(w), right_jacobian(w))
-    assert np.array_equal(_right_jacobian(np.zeros((n, 3))), right_jacobian(np.zeros((n, 3))))
+        assert np.array_equal(_right_jacobian(w, _rotation_angles(w)), right_jacobian(w))
+    assert np.array_equal(_right_jacobian(np.zeros((n, 3)), np.zeros(n)), right_jacobian(np.zeros((n, 3))))
     for w in _diverging_batches(gen, n):
         with np.errstate(all="ignore"):
-            assert np.array_equal(_right_jacobian(w), right_jacobian(w), equal_nan=True)
+            assert np.array_equal(_right_jacobian(w, _rotation_angles(w)), right_jacobian(w), equal_nan=True)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 40.0])
@@ -389,3 +393,121 @@ def test_mean_pose_rejects_non_finite_and_misshapen_particles():
         PoseState(np.array([0.0, math.nan, 0.0]), np.zeros(3))
     with pytest.raises(ValueError, match="translation and rotation must both be 3-vectors"):
         PoseState(np.zeros(2), np.zeros(3))
+
+
+# --- loss hands its residuals to grad ----------------------------------------
+# The oracle is separate loss and grad calls on writeable copies, which build
+# their own residuals.
+
+
+def _pose_stack(seed, k=11, n=80):
+    """(k, n, 6) poses whose rotation vectors have angles below the series
+    thresholds 1e-4 and 1e-3, near pi, ordinary, and huge."""
+    gen = np.random.default_rng(seed)
+    angles = gen.choice([3e-7, 0.9e-4, 5e-4, math.pi - 1e-9, math.pi + 1e-9, 1.3, 40.0, 1e8, 6e149], (k, n, 1))
+    rotations = _directions(gen, k * n).reshape(k, n, 3) * angles
+    return np.concatenate([0.3 * gen.standard_normal((k, n, 3)), rotations], axis=2)
+
+
+def _separate(problem, t, x):
+    """(normalized losses, gradients) from separate calls on writeable copies."""
+    losses = problem.loss(t, x.copy())
+    return losses - losses.mean(axis=-1, keepdims=True), problem.grad(t, x.copy())
+
+
+def _counting_residuals(problem):
+    """Make problem count its residual builds; returns the count list."""
+    built = []
+    residuals = problem._residuals
+    object.__setattr__(problem, "_residuals", lambda x: built.append(x.shape) or residuals(x))
+    return built
+
+
+@pytest.mark.parametrize("k", [1, 2, 11])
+def test_evaluate_losses_on_a_pose_stack_has_the_bits_of_separate_calls(k):
+    for seed in range(4):
+        problem = make_pose_problem(12, sigma=0.005, seed=seed)
+        ensemble = Ensemble(_pose_stack(seed, k), step_index=3)
+        built = _counting_residuals(problem)
+        with np.errstate(over="ignore"):
+            losses, grads = evaluate_losses(problem, ensemble)
+        assert len(built) == 1  # the gradient reused what the loss built
+        with np.errstate(over="ignore"):
+            oracle_losses, oracle_grads = _separate(problem, 3, ensemble.particles)
+        assert np.array_equal(losses, oracle_losses)
+        assert np.array_equal(grads, oracle_grads)
+        assert np.isfinite(grads).all()
+
+
+@pytest.mark.parametrize("make_input", [
+    lambda particles: particles.copy(),  # writeable
+    lambda particles: particles[:],  # a read-only view
+    lambda particles: np.frombuffer(particles.tobytes()).reshape(particles.shape),  # read-only, owns no data
+], ids=["writeable", "view", "buffer"])
+def test_other_inputs_build_their_own_residuals(make_input):
+    problem = make_pose_problem(12, sigma=0.005, seed=0)
+    x = make_input(Ensemble(_pose_stack(0, 2)).particles)
+    built = _counting_residuals(problem)
+    with np.errstate(over="ignore"):
+        losses, grads = evaluate_losses(problem, Ensemble(x))  # Ensemble copies x
+        assert len(built) == 1
+        loss, grad = problem.loss(0, x), problem.grad(0, x)
+        assert len(built) == 3
+        oracle_loss, oracle_grad = problem.loss(0, x.copy()), problem.grad(0, x.copy())
+    assert np.array_equal(loss, oracle_loss) and np.array_equal(grad, oracle_grad)
+
+
+def test_grad_after_a_loss_on_another_ensemble_is_its_own():
+    problem = make_pose_problem(12, sigma=0.005, seed=1)
+    a, b = Ensemble(_pose_stack(1)), Ensemble(_pose_stack(2))
+    with np.errstate(over="ignore"):
+        problem.loss(0, a.particles)
+        grad_b = problem.grad(0, b.particles)
+        grad_a = problem.grad(0, a.particles)  # the hand-off was dropped
+        assert np.array_equal(grad_b, problem.grad(0, b.particles.copy()))
+        assert np.array_equal(grad_a, problem.grad(0, a.particles.copy()))
+
+
+def test_an_array_written_between_loss_and_grad_gets_a_fresh_gradient():
+    problem = make_pose_problem(12, sigma=0.005, seed=2)
+    x = _pose_stack(3, k=2)
+    problem.loss(0, x)
+    x[1, 5, 4] += 0.25
+    with np.errstate(over="ignore"):
+        assert np.array_equal(problem.grad(0, x), problem.grad(0, x.copy()))
+    # a read-only array that owns its data, made writeable again and written
+    y = Ensemble(_pose_stack(4, k=2)).particles.copy()
+    y.setflags(write=False)
+    problem.loss(0, y)
+    y.setflags(write=True)
+    y[0, 0, 3] -= 0.5
+    with np.errstate(over="ignore"):
+        assert np.array_equal(problem.grad(0, y), problem.grad(0, y.copy()))
+
+
+def test_a_second_grad_on_the_same_ensemble_equals_the_first():
+    problem = make_pose_problem(12, sigma=0.005, seed=3)
+    x = Ensemble(_pose_stack(5)).particles
+    built = _counting_residuals(problem)
+    with np.errstate(over="ignore"):
+        loss = problem.loss(0, x)
+        first, second = problem.grad(0, x), problem.grad(0, x)
+        assert len(built) == 2  # the first grad used the hand-off, the second built its own
+        assert np.array_equal(first, second)
+        assert np.array_equal(first, problem.grad(0, x.copy()))
+        assert np.array_equal(loss, problem.loss(0, x.copy()))
+
+
+def test_equality_and_pickling_ignore_the_hand_off():
+    problem = make_pose_problem(12, sigma=0.005, seed=4)
+    fresh = make_pose_problem(12, sigma=0.005, seed=4)
+    x = Ensemble(_pose_stack(6, k=2)).particles
+    with np.errstate(over="ignore"):
+        problem.loss(0, x)  # a hand-off is held now
+    assert [f.name for f in dataclasses.fields(problem)] == ["model_points", "observed_points", "sigma", "true_pose"]
+    assert problem == problem
+    assert pickle.dumps(problem) == pickle.dumps(fresh)
+    for twin in (pickle.loads(pickle.dumps(problem)), copy.copy(problem), copy.deepcopy(problem)):
+        assert twin.__dict__.keys() == fresh.__dict__.keys()
+        with np.errstate(over="ignore"):
+            assert np.array_equal(twin.grad(0, x), problem.grad(0, x))
