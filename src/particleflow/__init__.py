@@ -3,7 +3,7 @@
 Modules:
     flow         deterministic particle flow filter core
     losses       bundled loss models and analytic posteriors
-    pose         SE(3) pose states and a synthetic registration likelihood
+    pose         flat SE(3) poses and a synthetic registration likelihood
     baselines    Monte Carlo localization and per-particle gradient descent
     metrics      Gaussian fits, closed-form KL, exact assignment Wasserstein
     bounds       Gronwall-type divergence bound and its empirical check

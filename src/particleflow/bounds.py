@@ -79,7 +79,7 @@ def _matched_distance(x: np.ndarray, z: np.ndarray) -> float:
     return float(np.sqrt(squares).sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DivergenceCheckReport:
     """Checkpointed distances, bounds, and their worst ratio."""
 

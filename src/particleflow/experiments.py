@@ -370,8 +370,9 @@ def _pose_init(seed: int, n: int) -> np.ndarray:
 
 def _pose_measure(true_pose) -> Measure:
     """The pose measure: translation and rotation error (Python floats, each
-    cell its repr) of each step's mean pose, the means of a step's stack
-    taken in one `mean_pose` call. A mean that cannot be read out raises
+    cell its repr) of each step's mean pose against the (6,) true_pose.
+    One `mean_pose` call gives the (k, 6) means of a step's stack, and
+    `pose_errors` reads each row. A mean that cannot be read out raises
     `MemberError` for its run."""
     def observe(step: int, particles: np.ndarray) -> list:
         return [pose_errors(pose, true_pose) for pose in mean_pose(particles)]

@@ -52,7 +52,7 @@ _BUDGET = 1 << 16
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """Immutable particle set at a discrete time index, or a stack of them.
 

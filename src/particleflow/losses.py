@@ -23,7 +23,7 @@ from . import rng
 from .metrics import GaussianSummary
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticProjectionLoss:
     """Per-step rank-one quadratic loss 0.5 * ((x - center) . dir_t)^2.
 

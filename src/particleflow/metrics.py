@@ -1,4 +1,4 @@
-"""Evaluation metrics: Gaussian fits, closed-form KL, exact Wasserstein, pose errors."""
+"""Evaluation metrics: Gaussian fits, closed-form KL, exact Wasserstein, flat-pose errors."""
 from __future__ import annotations
 
 import math
@@ -8,10 +8,9 @@ from functools import cached_property
 import numpy as np
 
 from .flow import _each_member, _require
-from .pose import PoseState
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianSummary:
     """Mean vector and covariance matrix, fitted to particles or analytic,
     or a stack of them.
@@ -90,7 +89,7 @@ class GaussianSummary:
         return inverse
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssignmentResult:
     """Minimizing permutation and total (unaveraged) cost of an assignment."""
 
@@ -224,8 +223,9 @@ def _quaternion(rotvec: np.ndarray) -> tuple[float, float, float, float]:
     return math.cos(0.5 * angle), scale * x, scale * y, scale * z
 
 
-def pose_errors(estimate: PoseState, truth: PoseState) -> tuple[float, float]:
-    """Translation error in centimeters and signed geodesic rotation error in degrees.
+def pose_errors(estimate: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
+    """Translation error in centimeters and signed geodesic rotation error in
+    degrees of two (6,) poses [translation, rotation vector].
 
     The relative rotation R_true^T R_est is the quaternion
     q = conj(q_true) * q_est = (w, v), and its angle is
@@ -234,9 +234,9 @@ def pose_errors(estimate: PoseState, truth: PoseState) -> tuple[float, float]:
     (positive when the ground truth does not rotate, or when the estimate
     matches exactly).
     """
-    translation_cm = 100.0 * float(np.linalg.norm(estimate.translation - truth.translation))
-    a, ux, uy, uz = _quaternion(truth.rotation)
-    b, vx, vy, vz = _quaternion(estimate.rotation)
+    translation_cm = 100.0 * float(np.linalg.norm(estimate[:3] - truth[:3]))
+    a, ux, uy, uz = _quaternion(truth[3:])
+    b, vx, vy, vz = _quaternion(estimate[3:])
     # (a, -u) * (b, v) = (ab + u.v, a v - b u - u x v)
     w = a * b + ux * vx + uy * vy + uz * vz
     x = a * vx - b * ux - (uy * vz - uz * vy)
@@ -246,7 +246,7 @@ def pose_errors(estimate: PoseState, truth: PoseState) -> tuple[float, float]:
     if half_sine == 0.0:
         return translation_cm, 0.0
     degrees = math.degrees(2.0 * math.atan2(half_sine, abs(w)))
-    tx, ty, tz = truth.rotation.tolist()
+    tx, ty, tz = truth[3:].tolist()
     projection = x * tx + y * ty + z * tz
     if w < 0.0:  # flipping q to w >= 0 reverses v
         projection = -projection

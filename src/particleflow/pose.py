@@ -1,10 +1,10 @@
-"""SE(3) pose states and a synthetic point-registration likelihood.
+"""Flat SE(3) poses and a synthetic point-registration likelihood.
 
-Poses live in flat R^6 as [translation, rotation vector]: the rotation
-vector is axis * angle, so filters can move particles in unconstrained
-Euclidean coordinates. Canonicalization to the minimal representative
-(angle <= pi) happens only when a pose is read out, never while particles
-are being moved.
+A pose is one flat array [translation, rotation vector] in R^6, from the
+particles to the read-out: the rotation vector is axis * angle, so filters
+move particles in unconstrained Euclidean coordinates. `mean_pose`
+canonicalizes it to the minimal representative (angle <= pi) only at
+read-out, never while particles are being moved.
 """
 from __future__ import annotations
 
@@ -14,28 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .flow import _each_member
-
-
-@dataclass(frozen=True)
-class PoseState:
-    """Rigid transform: translation in meters, rotation vector in radians."""
-
-    translation: np.ndarray  # (3,)
-    rotation: np.ndarray  # (3,) axis-angle
-
-    def __post_init__(self) -> None:
-        t = np.array(self.translation, dtype=np.float64, copy=True)
-        w = np.array(self.rotation, dtype=np.float64, copy=True)
-        if t.shape != (3,) or w.shape != (3,):
-            raise ValueError("translation and rotation must both be 3-vectors")
-        if not (np.isfinite(t).all() and np.isfinite(w).all()):
-            raise ValueError("pose components must be finite")
-        object.__setattr__(self, "translation", t)
-        object.__setattr__(self, "rotation", w)
-
-    def rotation_matrix(self) -> np.ndarray:
-        return rotation_matrices(self.rotation[None, :])[0]
+from .flow import _each_member, _require
 
 
 def canonicalize_rotation_vector(w: np.ndarray) -> np.ndarray:
@@ -58,31 +37,25 @@ def canonicalize_rotation_vector(w: np.ndarray) -> np.ndarray:
     return w * (wrapped / angle)
 
 
-def pose_unpack(vector: np.ndarray) -> PoseState:
-    """Flat 6-vector -> PoseState, canonicalizing the rotation vector."""
-    v = np.asarray(vector, dtype=np.float64)
-    if v.shape != (6,):
-        raise ValueError(f"pose vector must have shape (6,), got {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("pose vector must be finite")
-    return PoseState(v[:3], canonicalize_rotation_vector(v[3:]))
-
-
-def mean_pose(particles: np.ndarray) -> PoseState | list[PoseState]:
-    """Euclidean mean of pose particles, canonicalized at read-out: of an
-    (n, 6) particle set, or one per member of a (k, n, 6) stack.
-
-    A stack takes one mean over all its members, and each member's pose
-    has the bits of a call on that member alone. A mean that cannot be
-    read out (not finite, or a rotation-vector norm that overflows) raises
-    ValueError; for a stack, the `MemberError` of `flow._each_member` names
-    the first such member j, whose reason is the message j gives alone.
+def mean_pose(particles: np.ndarray) -> np.ndarray:
+    """Euclidean mean [translation, rotation vector] of pose particles,
+    canonicalized at read-out: a fresh (6,) array of an (n, 6) set, (k, 6)
+    of a (k, n, 6) stack, whose one mean gives each member the bits of a
+    call on that member alone. A mean that is not finite, or whose
+    rotation-vector norm overflows, raises ValueError; a stack's
+    `MemberError` names a member with the message it gives alone. Every
+    member's finiteness is checked before any is canonicalized, so a
+    non-finite member is named before a lower one whose norm overflows.
     """
     x = np.asarray(particles, dtype=np.float64)
-    stacked = x.ndim == 3
     means = x.mean(axis=-2)
-    poses = _each_member(lambda i: pose_unpack(means[i]), x.shape[:1] if stacked else ())
-    return poses if stacked else poses[0]
+    shape = means.shape[1:] if x.ndim == 3 else means.shape
+    if shape != (6,):
+        raise ValueError(f"pose vector must have shape (6,), got {shape}")
+    _require(np.isfinite(means).all(axis=-1), lambda at: "pose vector must be finite")
+    rotations = _each_member(lambda i: canonicalize_rotation_vector(means[i][3:]), means.shape[:-1])
+    means[..., 3:] = np.reshape(rotations, means[..., 3:].shape)
+    return means
 
 
 def rotation_matrices(w: np.ndarray) -> np.ndarray:
@@ -200,7 +173,7 @@ def noise_variance(sigma: float) -> float:
     return s * s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoseRegistrationLoss:
     """Point-set registration negative log-likelihood over flat R^6 poses.
 
@@ -227,7 +200,7 @@ class PoseRegistrationLoss:
     model_points: np.ndarray  # (K, 3)
     observed_points: np.ndarray  # (K, 3)
     sigma: float
-    true_pose: PoseState
+    true_pose: np.ndarray  # (6,) [translation, rotation vector]
 
     def __post_init__(self) -> None:
         m = np.asarray(self.model_points, dtype=np.float64)
@@ -316,6 +289,5 @@ def make_pose_problem(n_points: int, sigma: float, seed: int) -> PoseRegistratio
     rotation = random_rotation_vectors(gen, 1)[0]
     translation = gen.uniform(-0.5, 0.5, size=3)
     noise = gen.standard_normal((n_points, 3))
-    truth = PoseState(translation, rotation)
-    observed = model @ truth.rotation_matrix().T + translation + sigma * noise
-    return PoseRegistrationLoss(model, observed, sigma, truth)
+    observed = model @ rotation_matrices(rotation[None])[0].T + translation + sigma * noise
+    return PoseRegistrationLoss(model, observed, sigma, np.concatenate([translation, rotation]))

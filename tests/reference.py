@@ -46,11 +46,6 @@ class QuadraticWellLoss:
         return np.asarray(x, dtype=np.float64) - self.center
 
 
-def pose_pack(state) -> np.ndarray:
-    """PoseState -> flat 6-vector [translation, rotation vector]."""
-    return np.concatenate([state.translation, state.rotation])
-
-
 def naive_flow_displacements(particles, losses, grads, gamma, eta):
     """Direct double-loop evaluation of the per-particle flow displacements."""
     particles = np.asarray(particles, dtype=float)
@@ -310,9 +305,9 @@ def random_spd_pair(gen, d, min_eig=0.5, max_eig=2.0, mean_offset=1.5):
 
 
 def matrix_pose_errors(estimate, truth):
-    """Translation error in centimeters and signed geodesic rotation error in degrees,
-    through scipy rotation matrices (an oracle for the closed-form
-    `metrics.pose_errors`).
+    """Translation error in centimeters and signed geodesic rotation error in degrees
+    of two (6,) poses [translation, rotation vector], through scipy rotation
+    matrices (an oracle for the closed-form `metrics.pose_errors`).
 
     The unsigned angle comes from the relative rotation R_true^T R_est via
     theta = arccos((tr - 1) / 2); its sign is that of the projection of the
@@ -320,15 +315,15 @@ def matrix_pose_errors(estimate, truth):
     when the ground truth does not rotate, or when the estimate matches
     exactly).
     """
-    translation_cm = 100.0 * float(np.linalg.norm(estimate.translation - truth.translation))
-    relative = Rotation.from_rotvec(truth.rotation).as_matrix().T @ Rotation.from_rotvec(estimate.rotation).as_matrix()
+    translation_cm = 100.0 * float(np.linalg.norm(estimate[:3] - truth[:3]))
+    relative = Rotation.from_rotvec(truth[3:]).as_matrix().T @ Rotation.from_rotvec(estimate[3:]).as_matrix()
     rotvec = Rotation.from_matrix(relative).as_rotvec()
     angle = float(np.linalg.norm(rotvec))
     if angle == 0.0:
         return translation_cm, 0.0
     sign = 1.0
-    truth_norm = float(np.linalg.norm(truth.rotation))
-    if truth_norm > 0.0 and float(rotvec @ truth.rotation) < 0.0:
+    truth_norm = float(np.linalg.norm(truth[3:]))
+    if truth_norm > 0.0 and float(rotvec @ truth[3:]) < 0.0:
         sign = -1.0
     return translation_cm, sign * float(np.degrees(angle))
 

@@ -17,7 +17,8 @@ from particleflow.experiments import (
     run_synthetic,
     run_theorem,
 )
-from particleflow.flow import gradient_coefficient
+from particleflow.flow import Ensemble, gradient_coefficient
+from particleflow.pose import mean_pose
 
 from reference import per_step_kl_measure, runs_one_by_one
 
@@ -219,6 +220,29 @@ def test_a_failing_grid_run_leaves_the_others_their_single_run_rows(monkeypatch,
     assert len(survivors) == 2
     monkeypatch.setattr(experiments, "_lockstep", runs_one_by_one)
     assert run_pose(cfg) == (rows, failures)
+
+
+def test_lockstep_ends_each_unreadable_pose_run_with_its_own_reason():
+    # at step 1 member 0's rotation-vector norm overflows and member 1's mean
+    # is not finite: the read-out names member 1 first, and both runs end at
+    # that step with the message each gives alone
+    bad = np.zeros((2, 5, 6))
+    bad[0, :, 3:] = [-3.83e153, 1.71e154, 5.20e153]  # |w| is finite, its square is not
+    bad[1, :, 0] = 1.7e308  # finite particles whose sum overflows
+
+    def advance(ensemble, values):
+        return Ensemble(bad[values.astype(int)], ensemble.step_index + 1)
+
+    observe = experiments._pose_measure(np.zeros(6)).observe
+    with np.errstate(over="ignore", invalid="ignore"):
+        runs = experiments._lockstep(advance, [0.0, 1.0], np.zeros((5, 6)), observe, 3)
+        reasons = []
+        for member in bad:
+            with pytest.raises(ValueError) as alone:
+                mean_pose(member)
+            reasons.append(str(alone.value))
+    assert reasons[0].startswith("rotation-vector norm overflowed") and reasons[1] == "pose vector must be finite"
+    assert runs == [([(0, (0.0, 0.0))], 1, reason) for reason in reasons]
 
 
 def test_lockstep_sweep_keeps_the_rows_of_single_runs(monkeypatch):

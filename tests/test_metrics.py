@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+from particleflow import metrics
 from particleflow.metrics import (
     AssignmentResult,
     GaussianSummary,
@@ -15,7 +18,7 @@ from particleflow.metrics import (
     pose_errors,
     wasserstein_exact,
 )
-from particleflow.pose import PoseState, random_rotation_vectors
+from particleflow.pose import random_rotation_vectors
 
 from reference import (
     brute_force_assignment,
@@ -390,14 +393,20 @@ def test_wasserstein_triangle_inequality(seed):
 # --- pose errors -------------------------------------------------------------
 
 
+def _pose(translation, rotation):
+    """The (6,) pose [translation, rotation vector]."""
+    return np.concatenate([translation, rotation])
+
+
 def test_pose_errors_identical_pose():
-    state = PoseState(np.array([0.1, 0.2, 0.3]), np.array([0.4, -0.5, 0.6]))
-    assert pose_errors(state, state) == (0.0, 0.0)
+    pose = np.array([0.1, 0.2, 0.3, 0.4, -0.5, 0.6])
+    assert pose_errors(pose, pose) == (0.0, 0.0)
+    assert pose_errors(pose, pose.copy()) == (0.0, 0.0)
 
 
 def test_pose_errors_translation_unit_conversion():
-    truth = PoseState(np.zeros(3), np.zeros(3))
-    est = PoseState(np.array([0.01, 0.0, 0.0]), np.zeros(3))
+    truth = np.zeros(6)
+    est = _pose([0.01, 0.0, 0.0], np.zeros(3))
     trans_cm, rot_deg = pose_errors(est, truth)
     assert trans_cm == pytest.approx(1.0, rel=1e-12)
     assert rot_deg == 0.0
@@ -405,9 +414,9 @@ def test_pose_errors_translation_unit_conversion():
 
 def test_pose_errors_signed_ninety_degrees():
     axis = np.array([0.0, 0.0, 1.0])
-    truth = PoseState(np.zeros(3), axis * 0.5)
-    ahead = PoseState(np.zeros(3), axis * (0.5 + math.pi / 2))
-    behind = PoseState(np.zeros(3), axis * (0.5 - math.pi / 2))
+    truth = _pose(np.zeros(3), axis * 0.5)
+    ahead = _pose(np.zeros(3), axis * (0.5 + math.pi / 2))
+    behind = _pose(np.zeros(3), axis * (0.5 - math.pi / 2))
     assert pose_errors(ahead, truth)[1] == pytest.approx(90.0, rel=1e-10)
     assert pose_errors(behind, truth)[1] == pytest.approx(-90.0, rel=1e-10)
 
@@ -415,12 +424,12 @@ def test_pose_errors_signed_ninety_degrees():
 def test_pose_errors_match_matrix_route_on_random_poses():
     gen = np.random.default_rng(7)
     for trial in range(300):
-        truth = PoseState(gen.standard_normal(3), random_rotation_vectors(gen, 1)[0])
+        truth = _pose(gen.standard_normal(3), random_rotation_vectors(gen, 1)[0])
         # every third estimate is a non-minimal representative (angle > pi)
         rotation = random_rotation_vectors(gen, 1)[0]
         if trial % 3 == 0:
             rotation = rotation * (1.0 + 2.0 * math.pi / np.linalg.norm(rotation))
-        estimate = PoseState(gen.standard_normal(3), rotation)
+        estimate = _pose(gen.standard_normal(3), rotation)
         expected = matrix_pose_errors(estimate, truth)
         assert pose_errors(estimate, truth) == pytest.approx(expected, rel=1e-10)
 
@@ -432,24 +441,24 @@ def test_pose_errors_match_matrix_route_on_edge_poses(case):
     for _ in range(50):
         axis = gen.standard_normal(3)
         axis /= np.linalg.norm(axis)
-        truth = PoseState(gen.standard_normal(3), random_rotation_vectors(gen, 1)[0])
-        estimate = PoseState(gen.standard_normal(3), random_rotation_vectors(gen, 1)[0])
+        truth = _pose(gen.standard_normal(3), random_rotation_vectors(gen, 1)[0])
+        estimate = _pose(gen.standard_normal(3), random_rotation_vectors(gen, 1)[0])
         if case == "zero_rotation_truth":
-            truth = PoseState(truth.translation, np.zeros(3))
+            truth = _pose(truth[:3], np.zeros(3))
         elif case == "small_rotations":
             # both rotation vectors below the 1e-4 switch to the series
-            truth = PoseState(truth.translation, gen.uniform(1e-6, 5e-5) * axis)
+            truth = _pose(truth[:3], gen.uniform(1e-6, 5e-5) * axis)
             other = gen.standard_normal(3)
             other *= gen.uniform(1e-6, 5e-5) / np.linalg.norm(other)
-            estimate = PoseState(estimate.translation, other)
+            estimate = _pose(estimate[:3], other)
         elif case == "near_half_turn":
             # a relative rotation less than 1e-9 degrees short of a half turn
             angle = math.pi - math.radians(gen.uniform(0.0, 1e-9))
             relative = Rotation.from_rotvec(angle * axis)
-            rotation = (Rotation.from_rotvec(truth.rotation) * relative).as_rotvec()
-            estimate = PoseState(estimate.translation, rotation)
+            rotation = (Rotation.from_rotvec(truth[3:]) * relative).as_rotvec()
+            estimate = _pose(estimate[:3], rotation)
         else:
-            estimate = PoseState(estimate.translation + 1e6 * axis, estimate.rotation)
+            estimate = _pose(estimate[:3] + 1e6 * axis, estimate[3:])
         trans_cm, rot_deg = pose_errors(estimate, truth)
         expected_cm, expected_deg = matrix_pose_errors(estimate, truth)
         assert trans_cm == pytest.approx(expected_cm, rel=1e-10)
@@ -469,9 +478,9 @@ def test_pose_errors_tiny_angles_about_the_truth_axis(degrees):
         axis = gen.standard_normal(3)
         axis /= np.linalg.norm(axis)
         angle = gen.uniform(0.1, 3.0)
-        truth = PoseState(np.zeros(3), angle * axis)
-        ahead = PoseState(np.zeros(3), (angle + math.radians(degrees)) * axis)
-        behind = PoseState(np.zeros(3), (angle - math.radians(degrees)) * axis)
+        truth = _pose(np.zeros(3), angle * axis)
+        ahead = _pose(np.zeros(3), (angle + math.radians(degrees)) * axis)
+        behind = _pose(np.zeros(3), (angle - math.radians(degrees)) * axis)
         assert pose_errors(ahead, truth)[1] == pytest.approx(degrees, rel=1e-10, abs=1e-12)
         assert pose_errors(behind, truth)[1] == pytest.approx(-degrees, rel=1e-10, abs=1e-12)
 
@@ -481,6 +490,18 @@ def test_pose_errors_of_the_inverse_rotation_are_exact(angle):
     # R(-w) relative to R(w) turns by exactly 2|w| back about w's axis,
     # on either side of the series switch at |w| = 1e-4
     axis = np.array([2.0, -3.0, 6.0]) / 7.0
-    truth = PoseState(np.zeros(3), angle * axis)
-    inverse = PoseState(np.zeros(3), -angle * axis)
+    truth = _pose(np.zeros(3), angle * axis)
+    inverse = _pose(np.zeros(3), -angle * axis)
     assert pose_errors(inverse, truth)[1] == pytest.approx(-math.degrees(2.0 * angle), rel=1e-13)
+
+
+def test_metrics_imports_nothing_from_pose():
+    # pose errors read flat 6-vectors, so the metrics need no pose type
+    tree = ast.parse(Path(metrics.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not {name for name in imported if name and name.rsplit(".", 1)[-1] == "pose"}

@@ -1,23 +1,26 @@
+import ast
 import copy
 import dataclasses
 import itertools
 import math
 import pickle
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+import particleflow
 from particleflow.flow import Ensemble, MemberError, evaluate_losses
 from particleflow.pose import (
-    PoseState,
+    PoseRegistrationLoss,
     _quaternion_rotation_vectors,
     _right_jacobian,
     _rotation_angles,
     canonicalize_rotation_vector,
     make_pose_problem,
     mean_pose,
-    pose_unpack,
     random_rotation_vectors,
     rotation_matrices,
 )
@@ -25,7 +28,6 @@ from particleflow.pose import (
 from reference import (
     central_difference_gradient,
     naive_pose_gradient,
-    pose_pack,
     relative_gradient_error,
     right_jacobian,
     scipy_pose_grad,
@@ -37,20 +39,19 @@ from reference import (
 
 
 def test_zero_vector_is_identity_pose():
-    state = pose_unpack(np.zeros(6))
-    assert np.array_equal(state.translation, np.zeros(3))
-    assert np.array_equal(state.rotation, np.zeros(3))
-    np.testing.assert_allclose(state.rotation_matrix(), np.eye(3), atol=1e-15)
+    pose = mean_pose(np.zeros((1, 6)))
+    assert np.array_equal(pose, np.zeros(6))
+    np.testing.assert_allclose(rotation_matrices(pose[None, 3:])[0], np.eye(3), atol=1e-15)
 
 
-def test_pack_unpack_round_trip_below_pi():
+def test_mean_pose_of_one_particle_round_trips_below_pi():
     gen = np.random.default_rng(3)
     for _ in range(50):
         vec = np.concatenate([
             gen.uniform(-1, 1, 3),
             gen.uniform(-1, 1, 3) * (math.pi / 2),
         ])
-        assert np.array_equal(pose_pack(pose_unpack(vec)), vec)
+        assert np.array_equal(mean_pose(vec[None]), vec)
 
 
 def test_canonicalization_wraps_three_half_pi():
@@ -85,14 +86,14 @@ def test_canonicalization_rejects_overflowed_norm():
         with pytest.raises(ValueError, match="rotation-vector norm overflowed"):
             canonicalize_rotation_vector(w)
         with pytest.raises(ValueError, match="rotation-vector norm overflowed"):
-            pose_unpack(np.concatenate([np.zeros(3), w]))
+            mean_pose(np.concatenate([np.zeros(3), w])[None])
 
 
 def test_rotation_matrices_are_orthonormal():
     gen = np.random.default_rng(5)
     for _ in range(25):
-        state = pose_unpack(np.concatenate([np.zeros(3), gen.uniform(-3, 3, 3)]))
-        r = state.rotation_matrix()
+        pose = mean_pose(np.concatenate([np.zeros(3), gen.uniform(-3, 3, 3)])[None])
+        r = rotation_matrices(pose[None, 3:])[0]
         np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-10)
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-10)
 
@@ -134,11 +135,11 @@ def test_rotation_matrices_match_scipy_bit_for_bit(n):
     assert np.array_equal(rotation_matrices(x[:, 3:]), scipy_rotation_matrices(x[:, 3:]))
 
 
-def test_pose_state_rotation_matrix_matches_scipy_bit_for_bit():
+def test_single_rotation_matrix_matches_scipy_bit_for_bit():
+    # one rotation vector as a batch of one, as make_pose_problem builds its truth
     gen = np.random.default_rng(11)
     for w in [np.zeros(3), np.array([2e-4, 0.0, -1e-4]), *gen.uniform(-3, 3, (20, 3))]:
-        state = PoseState(np.zeros(3), w)
-        assert np.array_equal(state.rotation_matrix(), scipy_rotation_matrices(w[None, :])[0])
+        assert np.array_equal(rotation_matrices(w[None])[0], scipy_rotation_matrices(w[None, :])[0])
 
 
 def test_quaternion_rotation_vectors_match_scipy_bit_for_bit():
@@ -195,20 +196,18 @@ def test_loss_and_grad_match_scipy_form_bit_for_bit(scale):
 
 def test_noise_free_problem_has_zero_loss_at_truth():
     problem = make_pose_problem(8, sigma=0.0, seed=4)
-    truth_vec = pose_pack(problem.true_pose)
-    assert problem.loss(0, truth_vec) < 1e-20
+    assert problem.loss(0, problem.true_pose) < 1e-20
 
 
 def test_zero_noise_observations_are_exact_transforms():
     problem = make_pose_problem(6, sigma=0.0, seed=2)
     truth = problem.true_pose
-    transformed = problem.model_points @ truth.rotation_matrix().T + truth.translation
+    assert truth.shape == (6,) and truth.dtype == np.float64
+    transformed = problem.model_points @ rotation_matrices(truth[None, 3:])[0].T + truth[:3]
     np.testing.assert_allclose(problem.observed_points, transformed, atol=1e-15)
     # degenerate case: identity ground truth leaves the points untouched
-    from particleflow.pose import PoseRegistrationLoss
-
-    identity = PoseState(np.zeros(3), np.zeros(3))
-    observed = problem.model_points @ identity.rotation_matrix().T + identity.translation
+    identity = np.zeros(6)
+    observed = problem.model_points @ rotation_matrices(identity[None, 3:])[0].T + identity[:3]
     np.testing.assert_array_equal(observed, problem.model_points)
     loss = PoseRegistrationLoss(problem.model_points, observed, 0.0, identity)
     assert loss.loss(0, np.zeros(6)) == 0.0
@@ -219,7 +218,7 @@ def test_problem_is_deterministic_per_seed():
     b = make_pose_problem(5, sigma=0.01, seed=9)
     assert np.array_equal(a.model_points, b.model_points)
     assert np.array_equal(a.observed_points, b.observed_points)
-    assert np.array_equal(pose_pack(a.true_pose), pose_pack(b.true_pose))
+    assert np.array_equal(a.true_pose, b.true_pose)
 
 
 def test_problem_rejects_too_few_points():
@@ -242,12 +241,11 @@ def test_problem_rejects_a_non_finite_sigma_through_its_loss(sigma, message):
 def test_loss_at_truth_equals_noise_residual_only():
     sigma = 0.02
     problem = make_pose_problem(10, sigma=sigma, seed=6)
-    truth_vec = pose_pack(problem.true_pose)
     truth = problem.true_pose
-    predicted = problem.model_points @ truth.rotation_matrix().T + truth.translation
+    predicted = problem.model_points @ rotation_matrices(truth[None, 3:])[0].T + truth[:3]
     residual = predicted - problem.observed_points
     expected = 0.5 / sigma ** 2 * np.sum(residual ** 2)
-    assert problem.loss(0, truth_vec) == pytest.approx(expected, rel=1e-12)
+    assert problem.loss(0, truth) == pytest.approx(expected, rel=1e-12)
 
 
 def test_registration_gradient_matches_finite_differences():
@@ -319,7 +317,7 @@ def test_batched_and_single_evaluations_agree():
 
 def test_sigma_zero_uses_unscaled_residual():
     problem = make_pose_problem(5, sigma=0.0, seed=7)
-    x = pose_pack(problem.true_pose) + 0.01
+    x = problem.true_pose + 0.01
     rot = Rotation.from_rotvec(x[3:]).as_matrix()
     resid = problem.model_points @ rot.T + x[:3] - problem.observed_points
     assert problem.loss(0, x) == pytest.approx(0.5 * np.sum(resid ** 2), rel=1e-12)
@@ -328,8 +326,8 @@ def test_sigma_zero_uses_unscaled_residual():
 def test_mean_pose_is_canonicalized():
     particles = np.zeros((3, 6))
     particles[:, 5] = 1.5 * math.pi
-    state = mean_pose(particles)
-    assert np.linalg.norm(state.rotation) < math.pi
+    pose = mean_pose(particles)
+    assert np.linalg.norm(pose[3:]) < math.pi
 
 
 @pytest.mark.parametrize("k", [1, 2, 11])
@@ -341,28 +339,35 @@ def test_stacked_mean_pose_gives_each_member_the_bits_of_its_own_mean(k, n, scal
     gen = np.random.default_rng([k, n])
     x = offset + gen.standard_normal((k, n, 6)) * np.array([0.3, 0.3, 0.3, scale, scale, scale])
     poses = mean_pose(x)
-    assert isinstance(poses, list) and len(poses) == k
+    assert isinstance(poses, np.ndarray) and poses.shape == (k, 6)
     for pose, member in zip(poses, x):
         alone = mean_pose(member)
-        assert np.array_equal(pose.translation, alone.translation)
-        assert np.array_equal(pose.rotation, alone.rotation)
+        assert np.array_equal(pose[:3], alone[:3])
+        assert np.array_equal(pose[3:], alone[3:])
 
 
 @pytest.mark.parametrize("failure, message", [
     ("nan", "pose vector must be finite"),
     ("mean_overflow", "pose vector must be finite"),
     ("norm_overflow", "rotation-vector norm overflowed to inf"),
+    # every member below j overflows its norm: a mean that is not finite is
+    # named first all the same, since finiteness is checked for the whole
+    # stack before any member is canonicalized
+    ("nan_after_norm_overflow", "pose vector must be finite"),
 ])
 @pytest.mark.parametrize("k, j", [(2, 0), (2, 1), (11, 7)])
 def test_stacked_mean_pose_names_the_member_that_fails(failure, message, k, j):
     x = np.random.default_rng(k).standard_normal((k, 5, 6))
+    huge = [-3.83e153, 1.71e154, 5.20e153]  # |w| is finite, its square is not
     for bad in {j, k - 1}:  # the first failing member is named
-        if failure == "nan":
+        if failure in ("nan", "nan_after_norm_overflow"):
             x[bad, 3, 4] = math.nan
         elif failure == "mean_overflow":
             x[bad, :, 0] = 1.7e308  # finite particles whose sum overflows
         else:
-            x[bad, :, 3:] = [-3.83e153, 1.71e154, 5.20e153]  # |w| is finite, its square is not
+            x[bad, :, 3:] = huge
+    if failure == "nan_after_norm_overflow":
+        x[:j, :, 3:] = huge
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match=message) as alone:
             mean_pose(x[j])
@@ -373,15 +378,18 @@ def test_stacked_mean_pose_names_the_member_that_fails(failure, message, k, j):
 
 
 @pytest.mark.parametrize("rotation", [[0.1, -0.2, 0.3], [0.0, 0.0, 1.5 * math.pi]])
-def test_unpacked_pose_owns_its_arrays(rotation):
+@pytest.mark.parametrize("shape", [(1, 6), (2, 1, 6)])
+def test_mean_pose_is_a_fresh_array(rotation, shape):
     vector = np.array([1.0, 2.0, 3.0, *rotation])
-    state = pose_unpack(vector)
-    expected = PoseState(vector[:3], canonicalize_rotation_vector(vector[3:]))
-    vector[:] = 7.0
-    assert np.array_equal(state.translation, expected.translation)
-    assert np.array_equal(state.rotation, expected.rotation)
-    for part in (state.translation, state.rotation):
-        assert part.dtype == np.float64 and part.shape == (3,) and part.flags.owndata
+    particles = np.broadcast_to(vector, shape).copy()
+    particles.flags.writeable = False  # as Ensemble.particles
+    pose = mean_pose(particles)
+    expected = np.broadcast_to(np.concatenate([vector[:3], canonicalize_rotation_vector(vector[3:])]), shape[:-2] + (6,))
+    assert not np.shares_memory(pose, particles)
+    particles.flags.writeable = True
+    particles[...] = 7.0
+    assert np.array_equal(pose, expected)
+    assert pose.dtype == np.float64 and pose.shape == shape[:-2] + (6,) and pose.flags.owndata and pose.flags.writeable
 
 
 def test_mean_pose_rejects_non_finite_and_misshapen_particles():
@@ -389,10 +397,25 @@ def test_mean_pose_rejects_non_finite_and_misshapen_particles():
         mean_pose(np.array([[0.0, 0.0, 0.0, math.inf, 0.0, 0.0]]))
     with pytest.raises(ValueError, match=r"pose vector must have shape \(6,\), got \(5,\)"):
         mean_pose(np.zeros((2, 5)))
-    with pytest.raises(ValueError, match="pose components must be finite"):
-        PoseState(np.array([0.0, math.nan, 0.0]), np.zeros(3))
-    with pytest.raises(ValueError, match="translation and rotation must both be 3-vectors"):
-        PoseState(np.zeros(2), np.zeros(3))
+    with pytest.raises(ValueError, match=r"pose vector must have shape \(6,\), got \(5,\)"):
+        mean_pose(np.zeros((3, 2, 5)))
+
+
+def test_no_module_defines_a_second_pose_form():
+    # a pose is a flat [translation, rotation vector] array everywhere: no
+    # pose class besides the loss, and no packing or unpacking of poses
+    classes, defined = set(), set()
+    for path in sorted(Path(particleflow.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                classes.add(node.name)
+            elif isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+    assert {name for name in classes if name.startswith("Pose")} == {"PoseRegistrationLoss"}
+    assert "mean_pose" in defined
+    assert not {name for name in defined | classes if re.fullmatch(r"pose_(un)?pack", name)}
 
 
 # --- loss hands its residuals to grad ----------------------------------------
