@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import rng
-from .flow import Ensemble, _checked_grads, _checked_losses, _each_member, _per_member
+from .flow import Ensemble, _checked_grads, _checked_losses, _per_member
 
 
 def systematic_resample(weights: np.ndarray, offset: float) -> np.ndarray:
@@ -17,19 +17,25 @@ def systematic_resample(weights: np.ndarray, offset: float) -> np.ndarray:
     ceil(n * w_i), also when rounding ties weights. In exact arithmetic
     this is the stratification of the cumulative weights at positions
     (offset + j) / n.
+
+    (n,) weights give (n,) indices; a (k, n) stack of rows sharing the
+    offset gives (k, n), each row those it gives alone. Particle i gets
+    the positions below its cumulative residual and not below i - 1's,
+    and the last one every position left, closing its interval against
+    rounding.
     """
     w = np.asarray(weights, dtype=np.float64)
     if not 0.0 <= offset < 1.0:
         raise ValueError(f"offset must lie in [0, 1), got {offset}")
-    n = w.shape[0]
+    n = w.shape[-1]
     scaled = n * w
     whole = np.floor(scaled)
-    residual = np.cumsum(scaled - whole)
-    extra = n - int(whole.sum())
-    residual[-1] = extra  # close the last interval against rounding
-    placed = np.searchsorted(residual, offset + np.arange(extra), side="right")
-    counts = whole.astype(np.intp) + np.bincount(placed, minlength=n)
-    return np.repeat(np.arange(n), counts)
+    extra = n - whole.sum(axis=-1, keepdims=True).astype(np.intp)
+    # positions offset + j below each cumulative residual, of the first extra
+    below = np.minimum(np.searchsorted(offset + np.arange(n), np.cumsum(scaled - whole, axis=-1)), extra)
+    below[..., -1:] = extra
+    counts = whole.astype(np.intp) + np.diff(below, axis=-1, prepend=0)
+    return np.repeat(np.broadcast_to(np.arange(n), w.shape).ravel(), counts.ravel()).reshape(w.shape)
 
 
 def mcl_step(ensemble: Ensemble, loss_model, epsilon, seed: int) -> Ensemble:
@@ -46,8 +52,9 @@ def mcl_step(ensemble: Ensemble, loss_model, epsilon, seed: int) -> Ensemble:
     (seed, step index).
 
     A stack takes one epsilon for all members or one per member. It draws
-    the step's normal block and offset once, makes one loss call for the
-    whole stack and resamples each member on its own, so each member gets
+    the step's normal block and offset once, makes one loss call and
+    resamples every member in one `systematic_resample` call, each
+    member's weights normalized along its own row, so each member gets
     the bits it would get stepped alone with the same seed.
     """
     epsilons = _per_member(epsilon, ensemble, "epsilon")
@@ -56,15 +63,12 @@ def mcl_step(ensemble: Ensemble, loss_model, epsilon, seed: int) -> Ensemble:
     moved = particles + np.sqrt(epsilons)[..., None, None] * gen.standard_normal(particles.shape[-2:])
     losses = _checked_losses(loss_model, t, moved)
     offset = float(gen.uniform())
-
-    def resample(i):
-        weights = (1.0 / ensemble.n) * np.exp(-(losses[i] - losses[i].min()))
-        total = weights.sum()
-        assert total > 0.0, "degenerate weights: total underflowed despite min-shift"
-        weights /= total
-        return moved[i][systematic_resample(weights, offset)]
-
-    return Ensemble(np.reshape(_each_member(resample, epsilons.shape), moved.shape), t + 1)
+    weights = (1.0 / ensemble.n) * np.exp(-(losses - losses.min(axis=-1, keepdims=True)))
+    total = weights.sum(axis=-1, keepdims=True)
+    assert (total > 0.0).all(), "degenerate weights: total underflowed despite min-shift"
+    weights /= total
+    indices = systematic_resample(weights, offset)
+    return Ensemble(np.take_along_axis(moved, indices[..., None], axis=-2), t + 1)
 
 
 def gradient_descent_step(ensemble: Ensemble, loss_model, eta) -> Ensemble:

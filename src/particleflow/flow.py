@@ -25,9 +25,8 @@ to the ensemble at step t + 1, as the baselines' ``mcl_step`` and
 ``gradient_descent_step`` do. Its two halves are `evaluate_losses`, which
 returns the normalized losses and gradients, and `flow_update`, which
 turns them into displacements. All three also step a stack of ensembles
-(see `Ensemble`), with one step size per member, making one loss and
-gradient evaluation for the whole stack; each member gets the bits it
-would get stepped alone.
+(see `Ensemble`), with one step size per member, in one call each for
+the whole stack; each member gets the bits it would get stepped alone.
 
 The pairwise term costs O(n^2 d) time and O(n d) memory. It is summed
 from exact differences x_i - x_j (no Gram-matrix expansion, which cancels
@@ -229,29 +228,35 @@ def _interaction_sum(x: np.ndarray, normalized_losses: np.ndarray, gamma: float,
     doubles of differences, which keeps the temporaries in cache and at
     O(n * d) memory. The i = j summand is excluded, hence exactly zero.
     Each output entry is one einsum reduction over all i, whatever the
-    block, so the result is bit-stable for any split of the rows.
+    block, so the result is bit-stable for any split of the rows. A
+    (k, n, d) stack with (k, n) losses shares the set-up, then runs each
+    member's block loop in turn (`_each_member`), each with the bits it
+    would get alone.
 
     A base |x_j - x_i|^2 + gamma^2 whose power must overflow is set to inf
     without computing the power, which numpy does tens of times slower
     there; the weight is scaled / inf bit for bit as with the power.
 
     Raises ValueError naming the first particle pair (i, j) whose summand
-    is not finite. A sum that overflows from finite summands is returned
-    as is.
+    is not finite (a `MemberError` naming the first such member, in a
+    stack). A sum that overflows from finite summands is returned as is.
     """
-    n, d = x.shape
-    xt = np.ascontiguousarray(x.T)
+    n, d = x.shape[-2:]
+    xt = np.ascontiguousarray(np.swapaxes(x, -1, -2))
     scaled = (dim - 2.0) * normalized_losses
     g2 = gamma * gamma
     # the smallest base whose power certainly overflows; the margin is far
     # above the rounding error of exp, so bases just below still go through **
     overflow = math.exp(_LOG_FLOAT_MAX / (0.5 * dim)) * (1.0 + 1e-9)
     rows = max(1, min(n, _BUDGET // (d * n)))
+    diagonal = np.arange(n)
     out = np.empty_like(x)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+
+    def member(m):
+        xt_m, scaled_m, out_m = xt[m], scaled[m], out[m]
         for start in range(0, n, rows):
             stop = min(start + rows, n)
-            diff = xt[:, None, :] - xt[:, start:stop, None]  # diff[k, b, i] = x_ik - x_(start+b)k
+            diff = xt_m[:, None, :] - xt_m[:, start:stop, None]  # diff[k, b, i] = x_ik - x_(start+b)k
             sq = np.einsum("kbi,kbi->bi", diff, diff)
             sq += g2
             if sq.max() < overflow:
@@ -260,28 +265,31 @@ def _interaction_sum(x: np.ndarray, normalized_losses: np.ndarray, gamma: float,
                 big = sq >= overflow  # before the power, whose finite results may pass it
                 np.power(sq, 0.5 * dim, out=sq, where=~big)
                 sq[big] = np.inf
-            w = scaled / sq
-            w[np.arange(stop - start), np.arange(start, stop)] = 0.0
-            out[start:stop] = np.einsum("bi,kbi->bk", w, diff)
-            if not np.isfinite(out[start:stop]).all():
+            w = scaled_m / sq
+            w[diagonal[:stop - start], diagonal[start:stop]] = 0.0
+            out_m[start:stop] = np.einsum("bi,kbi->bk", w, diff)
+            if not np.isfinite(out_m[start:stop]).all():
                 _require(np.isfinite(w * diff).all(axis=0),
                          lambda at: f"non-finite interaction term for particle pair ({at[1]}, {start + at[0]})", 2)
             # free this block before the next one allocates: with two blocks
             # live the heap can outgrow malloc's trim threshold, and then its
             # pages are returned and faulted in again on every call
             del diff, sq, w
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _each_member(member, x.shape[:-2])
     return out
 
 
 def flow_update(ensemble: Ensemble, normalized_losses: np.ndarray, grads: np.ndarray,
-                gamma: float, eta: float) -> np.ndarray:
+                gamma: float, eta) -> np.ndarray:
     """Per-particle displacements eta * F(x_j) for one synchronous step.
 
     normalized_losses and grads are as returned by `evaluate_losses`;
     gamma > 0 is the kernel smoothing length (state units) and eta > 0 the
-    step size multiplying the whole velocity field. The state dimension
-    d is the ensemble's width and must be at least 3, where the kernel
-    constant is defined.
+    step size multiplying the whole velocity field, one for all members of
+    a stack or one per member. The state dimension d is the ensemble's
+    width and must be at least 3, where the kernel constant is defined.
 
     With a single particle the update is exactly the gradient term
     -eta * C * gamma**(2-d) * grads[j]; the pairwise term of a lone
@@ -291,25 +299,26 @@ def flow_update(ensemble: Ensemble, normalized_losses: np.ndarray, grads: np.nda
     Raises ValueError naming the first non-finite quantity, checked in
     this order: the gradient coefficient, a particle's gradient term, a
     particle pair's interaction term, a particle's summed displacement.
+    A stack is updated in one call, each member with the bits it would
+    get alone, and each check runs for every member before the next one:
+    its `MemberError` names a member whose gradient term fails before an
+    earlier member whose kernel fails, each with its own message.
     """
     x = ensemble.particles
-    n, d = x.shape
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    if grads.shape != x.shape or normalized_losses.shape != (n,):
+    d = x.shape[-1]
+    etas = _per_member(eta, ensemble, "eta")
+    if grads.shape != x.shape or normalized_losses.shape != x.shape[:-1]:
         raise ValueError("losses or gradients do not match the ensemble's shape")
-    coeff = eta * gradient_coefficient(d, gamma)
-    if not math.isfinite(coeff):
-        raise ValueError(
-            f"gradient coefficient eta * C * gamma**(2-d) overflowed "
-            f"(eta={eta}, gamma={gamma}, dim={d})"
-        )
-    displacements = (-coeff) * grads
-    _require(np.isfinite(displacements), lambda at: f"non-finite gradient term for particle {at[0]}", 2)
-    if n > 1:
+    with np.errstate(over="ignore"):  # an overflowing product is reported below
+        coeffs = etas * gradient_coefficient(d, gamma)
+    _require(np.isfinite(coeffs), lambda at: (
+        f"gradient coefficient eta * C * gamma**(2-d) overflowed (eta={etas[at]}, gamma={gamma}, dim={d})"))
+    displacements = (-coeffs)[..., None, None] * grads
+    _require(np.isfinite(displacements), lambda at: f"non-finite gradient term for particle {at[-2]}", 2)
+    if ensemble.n > 1:
         pair = _interaction_sum(x, normalized_losses, gamma, d)
-        displacements = displacements + (-(eta * kernel_constant(d))) * pair
-        _require(np.isfinite(displacements), lambda at: f"non-finite displacement for particle {at[0]}", 2)
+        displacements = displacements + (-(etas * kernel_constant(d)))[..., None, None] * pair
+        _require(np.isfinite(displacements), lambda at: f"non-finite displacement for particle {at[-2]}", 2)
     return displacements
 
 
@@ -318,15 +327,13 @@ def step(ensemble: Ensemble, loss_model, gamma: float, eta) -> Ensemble:
 
     All quantities are read from the pre-step ensemble and written to a
     fresh particle array, so the result is independent of any per-particle
-    update order. A stack takes one eta for all members or one per member.
-    Its losses and gradients are evaluated once for the whole stack (see
-    `evaluate_losses`), and `flow_update` runs per member (`_each_member`),
-    so each member gets the bits it would get stepped alone. Its etas are
-    checked first; a failing member fails the step with a `MemberError`.
+    update order. A stack takes one eta for all members or one per member,
+    checked before anything is evaluated. It makes one `evaluate_losses`
+    and one `flow_update` call for the whole stack, so each member gets
+    the bits it would get stepped alone; a failing member fails the step
+    with a `MemberError`.
     """
     etas = _per_member(eta, ensemble, "eta")
     normalized_losses, grads = evaluate_losses(loss_model, ensemble)
-    x = ensemble.particles
-    displacements = _each_member(
-        lambda i: flow_update(ensemble[i], normalized_losses[i], grads[i], gamma, float(etas[i])), etas.shape)
-    return Ensemble(x + np.reshape(displacements, x.shape), ensemble.step_index + 1)
+    displacements = flow_update(ensemble, normalized_losses, grads, gamma, etas)
+    return Ensemble(ensemble.particles + displacements, ensemble.step_index + 1)

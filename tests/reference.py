@@ -93,6 +93,23 @@ def plain_power_interaction_sum(x, normalized_losses, gamma, dim, budget=1 << 16
     return out
 
 
+def searchsorted_systematic_resample(weights, offset):
+    """baselines.systematic_resample of one (n,) weight vector as a
+    searchsorted of each remaining copy's position offset + j into the
+    cumulative residuals, the last closed at the number of copies left:
+    the oracle of its counting form. (It fails where offset + j rounds up
+    to that number, which an offset within an ulp or so of 1 can make.)"""
+    n = weights.shape[0]
+    scaled = n * weights
+    whole = np.floor(scaled)
+    residual = np.cumsum(scaled - whole)
+    extra = n - int(whole.sum())
+    residual[-1] = extra
+    placed = np.searchsorted(residual, offset + np.arange(extra), side="right")
+    counts = whole.astype(np.intp) + np.bincount(placed, minlength=n)
+    return np.repeat(np.arange(n), counts)
+
+
 def pair_summand(x_i, x_j, centered_loss_i, gamma, d):
     """Interaction summand applied to particle j by particle i (before eta)."""
     x_i = np.asarray(x_i, dtype=float)

@@ -7,7 +7,12 @@ from particleflow import flow
 from particleflow.baselines import gradient_descent_step, mcl_step, systematic_resample
 from particleflow.flow import Ensemble, evaluate_losses, flow_update, gradient_coefficient
 
-from reference import STACK_CASES, QuadraticWellLoss, assert_stack_steps_as_its_members
+from reference import (
+    STACK_CASES,
+    QuadraticWellLoss,
+    assert_stack_steps_as_its_members,
+    searchsorted_systematic_resample,
+)
 
 
 class ConstantLoss:
@@ -70,6 +75,65 @@ def test_uniform_weights_resample_is_a_permutation():
     w = np.full(8, 1.0 / 8)
     indices = systematic_resample(w, 0.37)
     assert sorted(indices) == list(range(8))
+
+
+def _weight_rows(case, k, n):
+    """(k, n) weight rows of one hard case for systematic resampling, each
+    normalized as mcl_step normalizes them."""
+    gen = np.random.default_rng([k, n])
+    losses = {
+        "one_hot": lambda: np.where(np.arange(n) == gen.integers(n, size=(k, 1)), 0.0, 1e9),
+        "uniform": lambda: np.zeros((k, n)),
+        # losses within a few ulps of each other: the weights tie up to rounding
+        "near_tied": lambda: 1.0 + gen.integers(-3, 4, size=(k, n)) * 2.0 ** -52,
+        # most exp(-shifted loss) underflow to 0 or to subnormals
+        "underflowing": lambda: gen.uniform(0.0, 800.0, size=(k, n)),
+        "random": lambda: gen.standard_exponential((k, n)),
+    }[case]()
+    weights = (1.0 / n) * np.exp(-(losses - losses.min(axis=-1, keepdims=True)))
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", (1, 2, 5, 13, 100))
+@pytest.mark.parametrize("k", (1, 2, 11))
+@pytest.mark.parametrize("case", ["one_hot", "uniform", "near_tied", "underflowing", "random"])
+def test_stacked_systematic_resample_gives_each_row_its_own_indices(case, k, n):
+    weights = _weight_rows(case, k, n)
+    for offset in (0.0, 0.37, 0.5, 0.999999, 1.0 - 2.0 ** -40):
+        stacked = systematic_resample(weights, offset)
+        assert stacked.shape == (k, n) and stacked.dtype == np.intp
+        for row, own in zip(stacked, weights):
+            assert np.array_equal(row, systematic_resample(own, offset))
+            assert np.array_equal(row, searchsorted_systematic_resample(own, offset))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40).filter(lambda w: sum(w) > 0),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+@example([0.21017422996681986] * 3, 0.0)
+@example([1.0, 0.0, 0.0, 0.0], 0.999999999999)
+def test_systematic_resample_counts_as_the_searchsorted_oracle(raw_weights, offset):
+    w = np.asarray(raw_weights) / sum(raw_weights)
+    try:
+        expected = searchsorted_systematic_resample(w, offset)
+    except ValueError:  # a position offset + j rounded up past the last particle's interval
+        extra = w.size - int(np.floor(w.size * w).sum())
+        assert offset + (extra - 1) == extra
+        return
+    assert np.array_equal(systematic_resample(w, offset), expected)
+
+
+def test_systematic_resample_keeps_n_copies_where_a_position_rounds_up():
+    # two copies are left, at offset + 0 and offset + 1, which rounds up to
+    # 2.0, the end of the last interval: it still goes to the last particle
+    # (the oracle places it past the end and fails)
+    w, offset = np.array([0.25, 0.25, 0.5]), 1.0 - 2.0 ** -53
+    assert offset + 1.0 == 2.0
+    assert np.array_equal(systematic_resample(w, offset), [1, 2, 2])
+    with pytest.raises(ValueError):
+        searchsorted_systematic_resample(w, offset)
 
 
 # --- MCL steps ---------------------------------------------------------------
@@ -248,10 +312,35 @@ def test_every_step_checks_the_losses_and_gradients_it_reads(advance, faults):
 # --- stacks of ensembles -----------------------------------------------------
 
 
+class _FirstCoordinateLoss:
+    """Loss f(x_0) of each particle, for (n, d) sets and (k, n, d) stacks."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def loss(self, t, x):
+        return self.f(x[..., 0])
+
+
+# name -> loss model of the MCL weights it gives particles (k, 13, 3) of
+# spread 1.5: exactly uniform ones, one-hot ones (every loss but the least
+# is far above it), ties up to a few ulps, and weights that underflow to
+# subnormals and to zero
+MCL_WEIGHT_CASES = {
+    "weights_uniform": _FirstCoordinateLoss(np.zeros_like),
+    "weights_one_hot": _FirstCoordinateLoss(lambda x0: 1e9 * x0 ** 2),
+    "weights_near_tied": _FirstCoordinateLoss(lambda x0: 1.0 + np.round(x0) * 2.0 ** -52),
+    "weights_underflowing": _FirstCoordinateLoss(lambda x0: 100.0 * x0 ** 2),
+}
+
+
 @pytest.mark.parametrize("k", (1, 2, 11))
-@pytest.mark.parametrize("case", sorted(STACK_CASES))
+@pytest.mark.parametrize("case", sorted(STACK_CASES) + sorted(MCL_WEIGHT_CASES))
 def test_stacked_mcl_step_equals_its_members_stepped_alone(case, k):
-    loss_model, particles, _, _ = STACK_CASES[case](k)
+    if case in MCL_WEIGHT_CASES:
+        loss_model, particles = MCL_WEIGHT_CASES[case], 1.5 * np.random.default_rng(k).standard_normal((k, 13, 3))
+    else:
+        loss_model, particles, _, _ = STACK_CASES[case](k)
     with np.errstate(all="ignore"):
         assert_stack_steps_as_its_members(
             lambda ensemble, epsilon: mcl_step(ensemble, loss_model, epsilon, 7), particles, 0.1 * np.logspace(-2, 2, k))

@@ -1,12 +1,13 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from particleflow import flow
+from particleflow import experiments, flow
 from particleflow.flow import (
     Ensemble,
     MemberError,
@@ -292,6 +293,69 @@ def test_interaction_kernel_matches_plain_power_when_differences_overflow():
     assert outcome == "non-finite interaction term for particle pair (4, 2)"
 
 
+def _adversarial_stack(case, k):
+    """k members of one hard input: member m is the case's cloud scaled by
+    1 + m / 4, with its losses rolled by m, so the exploded members cross
+    the power-overflow threshold at different pairs. In the cases
+    differences_overflow_at_<m>, x_i - x_j overflows in member m only."""
+    if case.startswith("differences_overflow"):
+        gen = np.random.default_rng(5)
+        x, losses, gamma = gen.standard_normal((6, 10)), gen.standard_normal(6), 0.5
+        bad = x.copy()
+        bad[2, 3], bad[4, 3] = 1e308, -1e308
+        members = [bad if m == int(case[-1]) else x * (1.0 + m / 4.0) for m in range(k)]
+    else:
+        x, losses, gamma = _adversarial_cloud(case)
+        members = [x * (1.0 + m / 4.0) for m in range(k)]
+    normalized = np.stack([np.roll(centered(losses), m) for m in range(k)])
+    return np.stack(members), normalized, gamma
+
+
+def _stacked_outcome(x, normalized, gamma):
+    """The stacked kernel's members as bytes, or (member, reason) of its error."""
+    try:
+        return [member.tobytes() for member in flow._interaction_sum(x, normalized, gamma, x.shape[-1])]
+    except MemberError as exc:
+        return exc.member, exc.reason
+
+
+def _members_outcome(kernel, x, normalized, gamma):
+    """What _stacked_outcome gives when each member gets the outcome of
+    kernel called on it alone: every member's bytes, or (member, message)
+    of the first member that fails."""
+    outcomes = [_kernel_outcome(kernel, member, own, gamma) for member, own in zip(x, normalized)]
+    failed = [m for m, outcome in enumerate(outcomes) if isinstance(outcome, str)]
+    return (failed[0], outcomes[failed[0]]) if failed else outcomes
+
+
+@pytest.mark.parametrize("k", (1, 2, 11))
+@pytest.mark.parametrize("case", ["offset_1e6", "coincident", "d3", "d50", "tiny_gamma", "exploded",
+                                  "differences_overflow_at_0", "differences_overflow_at_1"])
+def test_stacked_interaction_kernel_gives_each_member_its_own_bits(case, k, monkeypatch):
+    # against the kernel on each member alone and against the plain-power
+    # oracle, for blocks of 1 and 7 rows and for one block
+    x, normalized, gamma = _adversarial_stack(case, k)
+    n, d = x.shape[-2:]
+    for rows in (1, 7, n):
+        monkeypatch.setattr(flow, "_BUDGET", rows * d * n)
+        outcome = _stacked_outcome(x, normalized, gamma)
+        assert outcome == _members_outcome(flow._interaction_sum, x, normalized, gamma)
+        oracle = functools.partial(plain_power_interaction_sum, budget=rows * d * n)
+        assert outcome == _members_outcome(oracle, x, normalized, gamma)
+    if case == "differences_overflow_at_1" and k > 1:
+        assert outcome == (1, "non-finite interaction term for particle pair (4, 2)")
+
+
+@pytest.mark.parametrize("k", (1, 2, 11))
+@pytest.mark.parametrize("scale", [1e40, 1e147])
+@pytest.mark.parametrize("d", [3, 50])
+def test_stacked_interaction_kernel_matches_plain_power_on_exploded_clouds(d, scale, k):
+    gen = np.random.default_rng(d)
+    x = scale * gen.standard_normal((k, 30, d)) * np.linspace(1.0, 3.0, k)[:, None, None]
+    normalized = np.stack([_signed_losses(gen, 30) for _ in range(k)])
+    assert _stacked_outcome(x, normalized, 0.5) == _members_outcome(plain_power_interaction_sum, x, normalized, 0.5)
+
+
 def test_flow_update_self_term_is_exactly_zero():
     # A lone far-away particle with zero gradient must not move at all,
     # whatever its own centered loss would contribute through i = j.
@@ -338,6 +402,21 @@ def test_flow_update_gradient_diagnostics_come_first():
         flow_update(Ensemble(x), normalized, grads, 1e-160, 1e200)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"gradient term for particle 1$"):
         flow_update(Ensemble(x), normalized, grads, 1e-160, 1.0)
+
+
+def test_overflowing_eta_fails_the_step_without_a_warning():
+    # eta * C * gamma**(2-d) overflows to inf: the step names it, single and
+    # stacked, and the product raises no floating-point warning
+    x = np.zeros((3, 2, 3))
+    message = "gradient coefficient eta * C * gamma**(2-d) overflowed (eta=1e+308, gamma=0.01, dim=3)"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as single:
+            step(Ensemble(x[0]), QuadraticWellLoss(np.zeros(3)), 0.01, 1e308)
+        with pytest.raises(MemberError) as stacked:
+            step(Ensemble(x), QuadraticWellLoss(np.zeros(3)), 0.01, [1.0, 1e308, 1e308])
+    assert str(single.value) == message and not isinstance(single.value, MemberError)
+    assert (stacked.value.member, stacked.value.reason) == (1, message)
 
 
 def test_flow_update_overflowing_sum_names_particle():
@@ -560,3 +639,41 @@ def test_stacked_flow_step_equals_its_members_stepped_alone(case, k):
     with np.errstate(all="ignore"):
         assert_stack_steps_as_its_members(
             lambda ensemble, eta: step(ensemble, loss_model, gamma, eta), particles, center * np.logspace(-2, 2, k))
+
+
+class _FirstCoordinateLoss:
+    """Loss x_0 of each particle, and the same large gradient 1e149 everywhere."""
+
+    def loss(self, t, x):
+        return x[..., 0].copy()
+
+    def grad(self, t, x):
+        return np.full(x.shape, 1e149)
+
+
+def test_stacked_flow_step_checks_every_gradient_term_before_any_kernel():
+    # Particles 0 and 1 coincide and gamma**2 underflows, so the kernel
+    # fails on pair (1, 0) for every eta; the gradient term 7.96e307 * eta
+    # overflows for eta = 10 only. Member 0 (eta = 1) fails in the kernel,
+    # member 1 (eta = 10) at its gradient term, and the stacked step names
+    # member 1 first, as every check runs for all members before the next.
+    init = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    loss_model, gamma, etas = _FirstCoordinateLoss(), 1e-160, [1.0, 10.0]
+
+    def advance(ensemble, values):
+        return step(ensemble, loss_model, gamma, values)
+
+    reasons = []
+    with np.errstate(over="ignore"):
+        for eta in etas:
+            with pytest.raises(ValueError) as alone:
+                advance(Ensemble(init), eta)
+            reasons.append(str(alone.value))
+        assert reasons == ["non-finite interaction term for particle pair (1, 0)",
+                           "non-finite gradient term for particle 0"]
+        with pytest.raises(MemberError) as stacked:
+            advance(Ensemble(np.stack([init, init])), etas)
+        assert (stacked.value.member, stacked.value.reason) == (1, reasons[1])
+        # the sweep ends both runs at that step, each with its own message
+        runs = experiments._lockstep(advance, etas, init, lambda t, particles: [t] * len(particles), 3)
+    assert runs == [([(0, 0)], 1, reason) for reason in reasons]
